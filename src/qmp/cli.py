@@ -7,7 +7,7 @@ reconstruct Hamiltonians or master equations, and dump measure series:
     qmp check JOINT.json [--tol F]
     qmp check MARGINAL_A.json MARGINAL_B.json
     qmp reconstruct unitary JOINT.json --out DIR
-    qmp reconstruct master JOINT.json --ansatz unital-diagonal --out DIR
+    qmp reconstruct master JOINT.json --out DIR
     qmp measures JOINT.json --out SERIES.csv
 
 Trajectory files are JSON with fields dim, t0, dt, n, params and
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -60,11 +60,13 @@ def default_tol() -> float:
 
 
 def _atomic_write(path: str, text: str):
+    """Write via a temporary file and rename; mode 0666 minus the umask."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qmp-", suffix=".tmp")
+    tmp = os.path.join(d, f".qmp-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -249,8 +251,6 @@ def _mean_hamiltonian(ham_traj: Trajectory) -> np.ndarray:
 def cmd_reconstruct_master(args) -> int:
     tol = default_tol()
     traj = load_trajectory(args.file)
-    if args.ansatz != "unital-diagonal":
-        raise CliError(f"ansatz {args.ansatz!r} is not implemented", EXIT_INVALID)
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
     h_mean = _mean_hamiltonian(ham.trajectory)
@@ -299,7 +299,8 @@ def cmd_reconstruct_master(args) -> int:
         }
         if cp.valid:
             any_cp = True
-            rhs_diss = dr.rotate_dissipator(k, frame.useq)
+            # K is fitted in the eigenframe V(t) = U(t) V0, not in U(t)
+            rhs_diss = dr.rotate_dissipator(k.conjugated(frame.v0), frame.useq)
 
             def rhs(t, rho, _d=rhs_diss):
                 return dr.gksl_apply(h_mean, None, rho) + _d(t, rho)
@@ -327,17 +328,9 @@ def cmd_measures(args) -> int:
                 f"{measures.negativity(rho):.17g}",
             )
         )
-    d = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qmp-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _atomic_write(args.out, buf.getvalue())
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return EXIT_OK
 
@@ -375,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ru.set_defaults(func=cmd_reconstruct_unitary)
     rm = rsub.add_parser("master")
     rm.add_argument("file")
-    rm.add_argument("--ansatz", choices=["unital-diagonal", "unital-symmetric"],
-                    default="unital-diagonal")
     rm.add_argument("--out", required=True)
     rm.set_defaults(func=cmd_reconstruct_master)
 

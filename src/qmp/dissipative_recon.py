@@ -1,11 +1,17 @@
 """Master-equation reconstruction for non-unitary two-qubit trajectories.
 
-The dissipative part of a generator is handled in two equivalent
-pictures: as an affine action r_dot = D r + l on the 15-component
-coherence vector, and as a Kossakowski matrix K in the traceless
+A GKSL dissipator is given by its Kossakowski matrix K in the traceless
 Pauli-product basis lambda_k = G_k,
 
-    Diss[rho] = sum_ij K_ij (G_i rho G_j - 1/2 {G_j G_i, rho}).
+    Diss[X] = sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X}),
+
+and has one representation in this module: the 16x16 Liouvillian L_K
+acting on row-major vectorized operators, vec(X) = X.reshape(16), for
+which vec(A X B) = (A kron B^T) vec(X). ``KossakowskiMatrix.liouvillian``
+builds L_K once from K; applying the dissipator, its affine picture
+r_dot = D r + l on the 15-component coherence vector, the constant
+master-equation generator and the frame-rotated dissipator are all
+products with that one matrix.
 
 For diagonal K the two pictures are linked by the anticommutation
 pattern of the basis: D_kk = -2 * sum over i with {G_i, G_k} = 0 of
@@ -21,21 +27,21 @@ sigma^1 (x) I sits at generator index 4, array position 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import nnls
 
-from .bloch import coherence_series, traceless_basis
+from .bloch import coherence_series, pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
-    dag,
     diff_series,
     finite_diff,
     hermiticity_defect,
+    partial_trace,
     rk4_integrate,
     spectrum,
 )
@@ -99,6 +105,26 @@ class KossakowskiMatrix:
     def spectrum(self) -> np.ndarray:
         return spectrum(self.k)
 
+    @cached_property
+    def liouvillian(self) -> np.ndarray:
+        """L_K = sum_ij K_ij (G_i kron G_j^T) - 1/2 (M kron I + I kron M^T)
+        with M = sum_ij K_ij G_j G_i, so vec(Diss[X]) = L_K vec(X)."""
+        g = traceless_basis()
+        jump = np.einsum("ij,iab,jdc->acbd", self.k, g, g, optimize=True).reshape(16, 16)
+        m = np.einsum("ij,jab,ibc->ac", self.k, g, g, optimize=True)
+        eye = np.eye(4)
+        lk = jump - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+        lk.setflags(write=False)
+        return lk
+
+    def conjugated(self, v: np.ndarray) -> "KossakowskiMatrix":
+        """K of X -> V Diss_K[V^dag X V] V^dag, whose Liouvillian is
+        (V kron V*) L_K (V kron V*)^dag: O K O^T for the orthogonal
+        O_ab = Tr(G_a V G_b V^dag) / 4, with the same spectrum."""
+        g = traceless_basis()
+        o = np.einsum("aij,jk,bkl,il->ab", g, v, g, np.conj(v), optimize=True).real / 4.0
+        return KossakowskiMatrix(o @ self.k @ o.T)
+
     @staticmethod
     def from_diagonal(diag) -> "KossakowskiMatrix":
         return KossakowskiMatrix(np.diag(np.asarray(diag, dtype=float)))
@@ -140,10 +166,9 @@ def generator_residual(traj: Trajectory, hseq: Trajectory) -> Trajectory:
 def anticommutation_table() -> np.ndarray:
     """B[j, k] = 1 when G_{j+1} and G_{k+1} anticommute, else 0."""
     g = traceless_basis()
-    b = np.empty((15, 15))
-    for j in range(15):
-        for k in range(15):
-            b[j, k] = 1.0 if np.max(np.abs(g[j] @ g[k] + g[k] @ g[j])) < 1e-12 else 0.0
+    prod = np.einsum("jab,kbc->jkac", g, g)
+    anti = prod + prod.transpose(1, 0, 2, 3)
+    b = (np.abs(anti).max(axis=(2, 3)) < 1e-12).astype(float)
     b.setflags(write=False)
     return b
 
@@ -210,41 +235,21 @@ def k_from_d(d_diag, tol: float = 1e-10) -> KossakowskiMatrix:
     return KossakowskiMatrix.from_diagonal(k)
 
 
-def _dissipator_terms(k: KossakowskiMatrix):
-    """Nonzero (K_ij, G_i, G_j) triples plus the summed sum K_ij G_j G_i."""
-    g = traceless_basis()
-    terms = []
-    gg = np.zeros((4, 4), dtype=complex)
-    rows, cols = np.nonzero(np.abs(k.k) > 0.0)
-    for i, j in zip(rows, cols):
-        val = k.k[i, j]
-        terms.append((val, g[i], g[j]))
-        gg += val * (g[j] @ g[i])
-    return terms, gg
-
-
 def dissipator_apply(k: KossakowskiMatrix, x: np.ndarray) -> np.ndarray:
     """The dissipator sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X})."""
-    terms, gg = _dissipator_terms(k)
     x = np.asarray(x, dtype=complex)
-    out = -0.5 * (gg @ x + x @ gg)
-    for val, gi, gj in terms:
-        out += val * (gi @ x @ gj)
-    return out
+    return (k.liouvillian @ x.reshape(16)).reshape(4, 4)
 
 
 def d_from_k(k: KossakowskiMatrix) -> AffineGenerator:
-    """Affine picture of a dissipator: apply it to each basis element.
+    """Affine picture of a dissipator, projected from its Liouvillian.
 
-    D_jk = Tr(G_j Diss[G_k]) / 4 and l_j = Tr(G_j Diss[I]) / 4.
+    D_jk = Tr(G_j Diss[G_k]) / 4 and l_j = Tr(G_j Diss[I]) / 4; as
+    Tr(G_j Y) = conj(vec G_j) . vec Y, both are one matrix product.
     """
-    g = traceless_basis()
-    d = np.empty((15, 15))
-    for col in range(15):
-        image = dissipator_apply(k, g[col])
-        d[:, col] = np.einsum("jab,ba->j", g, image).real / 4.0
-    l = np.einsum("jab,ba->j", g, dissipator_apply(k, np.eye(4, dtype=complex))).real / 4.0
-    return AffineGenerator(d, l)
+    b = pauli_basis().reshape(16, 16)  # rows vec(I), vec(G_1), ..., vec(G_15)
+    proj = (b.conj() @ k.liouvillian @ b.T).real / 4.0
+    return AffineGenerator(proj[1:, 1:], proj[1:, 0])
 
 
 @dataclass(frozen=True)
@@ -353,7 +358,7 @@ def rotate_dissipator(
     with U_t looked up on the sequence grid; off-grid times are
     rejected, so integration steps must land on grid samples.
     """
-    terms, gg = _dissipator_terms(k)
+    lk = k.liouvillian
 
     def apply(t: float, rho: np.ndarray) -> np.ndarray:
         idx = (t - useq.t0) / useq.dt
@@ -363,20 +368,22 @@ def rotate_dissipator(
         u = useq.u[i]
         ud = u.conj().T
         sigma = ud @ rho @ u
-        out = -0.5 * (gg @ sigma + sigma @ gg)
-        for val, gi, gj in terms:
-            out += val * (gi @ sigma @ gj)
-        return u @ out @ ud
+        return u @ (lk @ sigma.reshape(16)).reshape(4, 4) @ ud
 
     return apply
 
 
 def constant_generator(h: np.ndarray, k: Optional[KossakowskiMatrix] = None):
-    """Time-independent right-hand side for rk4_integrate."""
+    """Time-independent right-hand side for rk4_integrate, one product
+    with L = -i (H kron I - I kron H^T) + L_K per call."""
     h = np.asarray(h, dtype=complex)
+    eye = np.eye(4)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    if k is not None:
+        gen = gen + k.liouvillian
 
     def rhs(t, rho):
-        return gksl_apply(h, k, rho)
+        return (gen @ rho.reshape(16)).reshape(4, 4)
 
     return rhs
 
@@ -398,18 +405,12 @@ def roundtrip_verify(traj: Trajectory, rhs, stride: int = 1) -> RoundtripReport:
     max Frobenius distance of the joint state and max absolute entry
     deviation of each marginal.
     """
-    from .qcore import partial_trace  # local import to avoid cycle noise
-
     if stride < 1 or (traj.n - 1) % stride != 0:
         raise ValueError("stride must divide the number of intervals")
     n_steps = (traj.n - 1) // stride
     result = rk4_integrate(rhs, traj.samples[0], traj.t0, stride * traj.dt, n_steps)
-    ref = traj.samples[::stride]
-    dev = 0.0
-    dev_a = 0.0
-    dev_b = 0.0
-    for got, want in zip(result.trajectory.samples, ref):
-        dev = max(dev, float(np.linalg.norm(got - want)))
-        dev_a = max(dev_a, float(np.max(np.abs(partial_trace(got, "B") - partial_trace(want, "B")))))
-        dev_b = max(dev_b, float(np.max(np.abs(partial_trace(got, "A") - partial_trace(want, "A")))))
+    diff = result.trajectory.samples - traj.samples[::stride]
+    dev = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
+    dev_a = float(np.max(np.abs(partial_trace(diff, "B"))))
+    dev_b = float(np.max(np.abs(partial_trace(diff, "A"))))
     return RoundtripReport(dev, dev_a, dev_b, result.max_trace_drift)

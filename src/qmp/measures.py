@@ -6,7 +6,7 @@ import numpy as np
 
 from .qcore import spectrum, trace_power
 
-__all__ = ["purity", "partial_transpose", "negativity", "purity_series", "negativity_series"]
+__all__ = ["purity", "partial_transpose", "negativity", "negativity_series"]
 
 
 def purity(rho: np.ndarray) -> float:
@@ -40,10 +40,6 @@ def negativity(rho: np.ndarray) -> float:
     """
     w = spectrum(partial_transpose(rho))
     return float(np.sum(np.abs(w[w < 0.0])))
-
-
-def purity_series(samples: np.ndarray) -> np.ndarray:
-    return np.array([purity(s) for s in samples])
 
 
 def negativity_series(samples: np.ndarray) -> np.ndarray:

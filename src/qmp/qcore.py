@@ -150,19 +150,21 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """Trace a 4x4 operator over one factor.
+    """Trace a 4x4 operator, or each of a (..., 4, 4) stack, over one factor.
 
     ``subsystem`` names the factor that is traced OUT: ``"B"`` (second
     factor) leaves the first qubit's reduced matrix, ``"A"`` the second's.
     """
-    rho = _as_square(rho, "rho")
-    if rho.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 matrix")
-    r = rho.reshape(2, 2, 2, 2)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError("partial_trace expects a 4x4 matrix or a stack of them")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho has non-finite entries")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "B":
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if subsystem == "A":
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
@@ -241,21 +243,16 @@ def spectrum(h: np.ndarray, vectors: bool = False):
 
 
 def finite_diff(traj: Trajectory) -> Trajectory:
-    """Second-order time derivative of a trajectory.
+    """Second-order time derivative of a trajectory (see diff_series)."""
+    return Trajectory(traj.t0, traj.dt, diff_series(traj.samples, traj.dt))
+
+
+def diff_series(values: np.ndarray, dt: float) -> np.ndarray:
+    """Second-order time derivative of an (n, ...) array of samples.
 
     Central differences at interior points, one-sided second-order
     stencils at both ends; error O(dt^2) throughout.
     """
-    s = traj.samples
-    d = np.empty_like(s)
-    d[1:-1] = (s[2:] - s[:-2]) / (2.0 * traj.dt)
-    d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * traj.dt)
-    d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * traj.dt)
-    return Trajectory(traj.t0, traj.dt, d)
-
-
-def diff_series(values: np.ndarray, dt: float) -> np.ndarray:
-    """Same stencils as finite_diff for an (n, ...) array of samples."""
     values = np.asarray(values)
     if values.shape[0] < 3:
         raise ValueError("need at least 3 samples")

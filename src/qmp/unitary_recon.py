@@ -136,12 +136,15 @@ class EigenframeResult:
 
     ``useq`` carries U(t) = V(t) V(t0)^dag (identity at t0); ``gamma``
     is the trajectory of diagonal branch matrices W(t) ordered by the
-    continuation labels, and ``residual`` the max reconstruction error
-    max_t || U W(t0-frame) U^dag - rho || when the spectrum is constant.
+    continuation labels, ``v0`` the initial frame V(t0), so that
+    rho(t) = U(t) V0 W(t) V0^dag U(t)^dag, and ``residual`` the max
+    reconstruction error max_t || U rho(t0) U^dag - rho || when the
+    spectrum is constant.
     """
 
     useq: EvolutionSequence
     gamma: Trajectory
+    v0: np.ndarray
     residual: float
 
 
@@ -160,8 +163,19 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
     branches = np.empty((n, d))
     w0, v0 = spectrum(traj.samples[0], vectors=True)
     order = np.argsort(-w0, kind="stable")
-    frames[0] = v0[:, order]
-    branches[0] = w0[order]
+    v0 = v0[:, order]
+    w0 = w0[order]
+    # Inside a degenerate block of rho(t0) eigh's basis is arbitrary; take
+    # the one diagonalizing rho(t1) there (columns nearest eigh's order),
+    # so the frame does not jump when the block splits.
+    for block in _degenerate_blocks(w0):
+        b = list(block)
+        if len(b) > 1:
+            _, c = np.linalg.eigh(dag(v0[:, b]) @ traj.samples[1] @ v0[:, b])
+            _, col = linear_sum_assignment(-np.abs(c) ** 2)
+            v0[:, b] = v0[:, b] @ c[:, col]
+    frames[0] = v0
+    branches[0] = w0
     for i in range(1, n):
         w, v = spectrum(traj.samples[i], vectors=True)
         prev = frames[i - 1]
@@ -239,11 +253,10 @@ def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
     gamma[:, idx, idx] = branches
     # Residual of the frozen-spectrum reconstruction: tiny for unitary
     # trajectories, grows with dissipation.
-    res = 0.0
-    for ui, rho in zip(u, traj.samples):
-        res = max(res, float(np.max(np.abs(ui @ gamma[0] @ dag(ui) - rho))))
+    frozen = np.einsum("nij,jk,nlk->nil", u, traj.samples[0], u.conj())
+    res = float(np.max(np.abs(frozen - traj.samples)))
     useq = EvolutionSequence(traj.t0, traj.dt, u, branches[0].copy())
-    return EigenframeResult(useq, Trajectory(traj.t0, traj.dt, gamma), res)
+    return EigenframeResult(useq, Trajectory(traj.t0, traj.dt, gamma), frames[0].copy(), res)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take different routes than the production code
-(superoperator kron identities instead of per-element application,
-eigenvalue tests instead of Cholesky pivots) so that agreement between
-the two is meaningful.
+(per-term application and term-by-term kron sums instead of one einsum
+over the Kossakowski matrix, eigenvalue tests instead of Cholesky
+pivots) so that agreement between the two is meaningful. Nothing here
+imports qmp.dissipative_recon.
 """
 
 import numpy as np
@@ -20,6 +21,17 @@ def random_state(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def dissipator_per_term(km, x):
+    """sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X}), one term at a time."""
+    g = traceless_basis()
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(15):
+        for j in range(15):
+            gji = g[j] @ g[i]
+            out += km[i, j] * (g[i] @ x @ g[j] - 0.5 * (gji @ x + x @ gji))
+    return out
 
 
 def dissipator_superoperator(km):

@@ -138,6 +138,25 @@ class TestReconstructCommands:
         assert max(best["k_diag"]) == pytest.approx(0.1, abs=1e-6)
         assert best["roundtrip_deviation"] < 1e-3
 
+    def test_master_is_basis_independent(self, tmp_path):
+        # example3 under a fixed local unitary W_A x W_B is the same physics;
+        # its degenerate rho(t0) and non-computational eigenbasis must not
+        # change the round trip
+        from scipy.stats import unitary_group
+
+        w = np.kron(unitary_group.rvs(2, random_state=1), unitary_group.rvs(2, random_state=2))
+        traj = scenario_example3(2.0, 0.2).joint(0.0, 1e-3, 2001)
+        conj = np.einsum("ij,njk,lk->nil", w, traj.samples, w.conj())
+        path = tmp_path / "conj.json"
+        write_trajectory(str(path), Trajectory(0.0, 1e-3, conj))
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", path, "--out", rec) == EXIT_OK
+        doc = json.loads((rec / "report.json").read_text())
+        valid = [c for c in doc["candidates"] if c["cp_valid"]]
+        assert valid
+        for c in valid:
+            assert c["roundtrip_deviation"] < 1e-4, c["label"]
+
     def test_master_on_unitary_input_is_trivial(self, tmp_path):
         out = tmp_path / "ex1"
         run("scenario", "example1", "--J", 2, "--t-max", 3.1, "--steps", 200, "--out", out)
@@ -177,6 +196,18 @@ class TestMeasuresCommand:
         lines = csv_path.read_text().strip().splitlines()[1:]
         ps = [float(l.split(",")[1]) for l in lines]
         assert np.ptp(ps) < 1e-12
+
+
+def test_written_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "ex1"
+        run("scenario", "example1", "--J", 2, "--t-max", 3.1, "--steps", 20, "--out", out)
+        run("measures", out / "joint.json", "--out", out / "measures.csv")
+    finally:
+        os.umask(old)
+    for name in ("joint.json", "measures.csv"):
+        assert (out / name).stat().st_mode & 0o777 == 0o644, name
 
 
 def test_qmp_tol_env_override(tmp_path, monkeypatch):

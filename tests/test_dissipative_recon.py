@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmp.bloch import to_coherence, traceless_basis
 from qmp.kinematics import scenario_example1, scenario_example3
@@ -27,6 +30,7 @@ from qmp.dissipative_recon import (
 
 from _oracles import (
     affine_from_superoperator,
+    dissipator_per_term,
     dissipator_superoperator,
     random_hermitian,
     random_state,
@@ -197,6 +201,23 @@ class TestKossakowskiMaps:
             d2, l2 = affine_from_superoperator(dissipator_superoperator(km))
             np.testing.assert_allclose(gen.d, d2, atol=1e-12)
             np.testing.assert_allclose(gen.l, l2, atol=1e-12)
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    a=arrays(np.float64, (2, 15, 15), elements=unit_floats),
+    x=arrays(np.float64, (2, 4, 4), elements=unit_floats),
+    d=arrays(np.float64, 15, elements=unit_floats),
+)
+def test_liouvillian_matches_per_term_oracle(a, x, d):
+    km = (a[0] + a[0].T) + 1j * (a[1] - a[1].T)
+    xc = x[0] + 1j * x[1]
+    got = dissipator_apply(KossakowskiMatrix(km), xc)
+    np.testing.assert_allclose(got, dissipator_per_term(km, xc), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(d_from_k(k_from_d(d)).d), d, rtol=0, atol=1e-12)
 
 
 class TestGksl:
