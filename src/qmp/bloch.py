@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .qcore import SIGMA, dag, hermiticity_defect
+from .qcore import SIGMA, _per_matrix, _require_hermitian, dag
 
 __all__ = [
     "pauli_basis",
@@ -91,8 +91,7 @@ class CoherenceVector:
 def to_coherence(rho: np.ndarray, tol: float = 1e-12) -> CoherenceVector:
     """Coherence vector of a (Hermitian) 4x4 state."""
     rho = np.asarray(rho, dtype=complex)
-    if hermiticity_defect(rho) > 1e-8:
-        raise ValueError("to_coherence expects a Hermitian matrix")
+    _require_hermitian(rho, "to_coherence")
     g = traceless_basis()
     r = np.einsum("kij,ji->k", g, rho)
     if np.max(np.abs(r.imag)) > max(tol, 1e-10):
@@ -194,43 +193,44 @@ class PauliDecomposition:
     """Coefficients h_ab with H = sum_ab h_ab G_ab (exact reconstruction).
 
     The stored coefficients carry the Hilbert-Schmidt factor 1/4:
-    h_ab = Tr(H G_ab) / 4.
+    h_ab = Tr(H G_ab) / 4. ``h`` has shape (..., 4, 4), one 4x4 block
+    per decomposed operator.
     """
 
     h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float).reshape(4, 4))
+        h = np.asarray(self.h, dtype=float)
+        object.__setattr__(self, "h", h.reshape(h.shape[:-2] + (4, 4)))
 
     @property
-    def identity(self) -> float:
-        return float(self.h[0, 0])
+    def identity(self):
+        return _per_matrix(self.h[..., 0, 0])
 
     def local_part(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        g = _basis16()
-        for i in range(1, 4):
-            out += self.h[i, 0] * g[4 * i] + self.h[0, i] * g[i]
-        return out
+        h = self.h.copy()
+        h[..., 0, 0] = 0.0
+        h[..., 1:, 1:] = 0.0
+        return _expand(h)
 
     def interaction_part(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        g = _basis16()
-        for a in range(1, 4):
-            for b in range(1, 4):
-                out += self.h[a, b] * g[4 * a + b]
-        return out
+        h = np.zeros_like(self.h)
+        h[..., 1:, 1:] = self.h[..., 1:, 1:]
+        return _expand(h)
 
     def reconstruct(self) -> np.ndarray:
-        g = _basis16()
-        return np.tensordot(self.h.reshape(16), g, axes=1)
+        return _expand(self.h)
+
+
+def _expand(h: np.ndarray) -> np.ndarray:
+    """sum_ab h_ab G_ab for (..., 4, 4) coefficients."""
+    return np.tensordot(h.reshape(h.shape[:-2] + (16,)), _basis16(), axes=1)
 
 
 def pauli_decompose(h: np.ndarray) -> PauliDecomposition:
-    """Expand a Hermitian 4x4 operator in the Pauli-product basis."""
+    """Expand a Hermitian 4x4 operator (or each of a stack) in the
+    Pauli-product basis."""
     h = np.asarray(h, dtype=complex)
-    if hermiticity_defect(h) > 1e-8 * max(1.0, float(np.abs(h).max())):
-        raise ValueError("pauli_decompose expects a Hermitian matrix")
-    g = _basis16()
-    c = np.einsum("kij,ji->k", g, h) / 4.0
-    return PauliDecomposition(c.real.reshape(4, 4))
+    _require_hermitian(h, "pauli_decompose")
+    c = np.einsum("kij,...ji->...k", _basis16(), h) / 4.0
+    return PauliDecomposition(c.real.reshape(c.shape[:-1] + (4, 4)))

@@ -14,16 +14,18 @@ Trajectory files are JSON with fields dim, t0, dt, n, params and
 samples, where samples[i] lists the dim^2 entries of the matrix at time
 t0 + i*dt row-major, each complex entry as an [re, im] pair. Exit
 codes: 0 success, 2 validation failure, 3 no CP-valid candidate,
-4 parse error. The env var QMP_TOL overrides the default tolerance
-1e-10 used by the checks.
+4 parse error: unreadable JSON or any schema violation (a missing or
+mistyped field, a sample of the wrong shape, a non-finite number,
+n < 3, dt <= 0), reported with the field or sample index. The env var
+QMP_TOL overrides the default tolerance 1e-10 used by the checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import operator
 import os
 import sys
 
@@ -76,43 +78,57 @@ def _atomic_write(path: str, text: str):
 
 
 def trajectory_to_dict(traj: Trajectory, params=None) -> dict:
-    samples = []
-    for m in traj.samples:
-        flat = m.reshape(-1)
-        samples.append([[float(z.real), float(z.imag)] for z in flat])
+    pairs = np.ascontiguousarray(traj.samples).view(float)
     return {
         "dim": traj.dim,
         "t0": traj.t0,
         "dt": traj.dt,
         "n": traj.n,
         "params": params or {},
-        "samples": samples,
+        "samples": pairs.reshape(traj.n, -1, 2).tolist(),
     }
 
 
-def trajectory_from_dict(doc: dict, strict: bool = True, tol: float = 1e-8) -> Trajectory:
+def _field(doc: dict, name: str, kind):
     try:
-        dim = int(doc["dim"])
-        t0 = float(doc["t0"])
-        dt = float(doc["dt"])
-        n = int(doc["n"])
-        raw = doc["samples"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed trajectory file: {exc}", EXIT_PARSE)
+        return kind(doc[name])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
+
+
+def trajectory_from_dict(doc: dict, strict: bool = True, tol: float = 1e-8) -> Trajectory:
+    """Decode a trajectory document; any schema violation exits 4.
+
+    With ``strict`` every sample must also be a density matrix within
+    ``tol`` (exit 2 naming the first sample that is not).
+    """
+    dim, n = _field(doc, "dim", operator.index), _field(doc, "n", operator.index)
+    t0, dt = _field(doc, "t0", float), _field(doc, "dt", float)
+    raw = _field(doc, "samples", list)
     if len(raw) != n:
         raise CliError(f"n = {n} but {len(raw)} samples present", EXIT_PARSE)
-    samples = np.empty((n, dim, dim), dtype=complex)
-    for i, entry in enumerate(raw):
-        if len(entry) != dim * dim:
-            raise CliError(f"sample {i} has {len(entry)} entries, expected {dim * dim}", EXIT_PARSE)
-        flat = np.array([complex(re, im) for re, im in entry])
-        samples[i] = flat.reshape(dim, dim)
-    traj = Trajectory(t0, dt, samples)
+    try:
+        pairs = np.asarray(raw)
+    except ValueError as exc:
+        raise CliError(f"samples must be lists of [re, im] pairs: {exc}", EXIT_PARSE)
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (n, dim * dim, 2):
+        raise CliError(
+            f"samples must be ({n}, {dim * dim}, 2) numbers, got {pairs.dtype} {pairs.shape}",
+            EXIT_PARSE,
+        )
+    finite = np.isfinite(pairs).all(axis=(1, 2))
+    if not finite.all():
+        raise CliError(f"sample {np.argmin(finite)} has a non-finite entry", EXIT_PARSE)
+    try:
+        samples = pairs.astype(float, copy=False).view(complex).reshape(n, dim, dim)
+        traj = Trajectory(t0, dt, samples)
+    except ValueError as exc:
+        raise CliError(f"malformed trajectory file: {exc}", EXIT_PARSE)
     if strict:
-        for i, m in enumerate(samples):
-            rep = validate_state(m, tol)
-            if not rep.ok:
-                raise CliError(f"sample {i} is not a valid state: {rep}", EXIT_INVALID)
+        bad = np.flatnonzero(~validate_state(traj.samples, tol).ok)
+        if bad.size:
+            rep = validate_state(traj.samples[bad[0]], tol)
+            raise CliError(f"sample {bad[0]} is not a valid state: {rep}", EXIT_INVALID)
     return traj
 
 
@@ -129,6 +145,13 @@ def load_trajectory(path: str, strict: bool = True) -> Trajectory:
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE)
     return trajectory_from_dict(doc, strict=strict)
+
+
+def _write_csv(path: str, header: list, table: np.ndarray):
+    """One row per sample, every value as %.17g (exact round trip)."""
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    _atomic_write(path, buf.getvalue())
 
 
 def write_report(path_or_none, doc: dict):
@@ -165,11 +188,11 @@ def cmd_scenario(args) -> int:
     if sc.joint_at is not None:
         joint = sc.joint(0.0, dt, n)
         # self-check: the written marginals are the joint's partial traces
-        for i in range(n):
-            da = np.max(np.abs(partial_trace(joint.samples[i], "B") - pair.rho_a.samples[i]))
-            db = np.max(np.abs(partial_trace(joint.samples[i], "A") - pair.rho_b.samples[i]))
-            if max(da, db) > 1e-12:
-                raise CliError(f"marginal self-check failed at sample {i}", EXIT_INVALID)
+        da = np.abs(partial_trace(joint.samples, "B") - pair.rho_a.samples).max(axis=(1, 2))
+        db = np.abs(partial_trace(joint.samples, "A") - pair.rho_b.samples).max(axis=(1, 2))
+        bad = np.flatnonzero(np.maximum(da, db) > 1e-12)
+        if bad.size:
+            raise CliError(f"marginal self-check failed at sample {bad[0]}", EXIT_INVALID)
         write_trajectory(os.path.join(args.out, "joint.json"), joint, params)
         print(f"wrote joint.json, marginal_a.json, marginal_b.json to {args.out}")
     else:
@@ -227,13 +250,11 @@ def cmd_reconstruct_unitary(args) -> int:
     ham = ur.hamiltonian_from_evolution(seq)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
-    rows = [["t"] + [f"h{a}{b}" for a in range(4) for b in range(4)]]
-    for t, h in zip(ham.trajectory.times, ham.trajectory.samples):
-        coeffs = bloch.pauli_decompose(h).h.reshape(16)
-        rows.append([f"{t:.17g}"] + [f"{c:.17g}" for c in coeffs])
-    _atomic_write(
+    coeffs = bloch.pauli_decompose(ham.trajectory.samples).h.reshape(ham.trajectory.n, 16)
+    _write_csv(
         os.path.join(args.out, "pauli_coefficients.csv"),
-        "\n".join(",".join(r) for r in rows) + "\n",
+        ["t"] + [f"h{a}{b}" for a in range(4) for b in range(4)],
+        np.column_stack([ham.trajectory.times, coeffs]),
     )
     doc = {
         "antihermitian_defect": ham.antihermitian_defect,
@@ -244,16 +265,12 @@ def cmd_reconstruct_unitary(args) -> int:
     return EXIT_OK
 
 
-def _mean_hamiltonian(ham_traj: Trajectory) -> np.ndarray:
-    return ham_traj.samples.mean(axis=0)
-
-
 def cmd_reconstruct_master(args) -> int:
     tol = default_tol()
     traj = load_trajectory(args.file)
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
-    h_mean = _mean_hamiltonian(ham.trajectory)
+    h_mean = ham.trajectory.samples.mean(axis=0)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
 
@@ -317,21 +334,19 @@ def cmd_measures(args) -> int:
     traj = load_trajectory(args.file)
     if traj.dim != 4:
         raise CliError("measures expects a dim-4 joint trajectory", EXIT_INVALID)
-    rows = [("t", "purity_AB", "purity_A", "purity_B", "negativity")]
-    for t, rho in zip(traj.times, traj.samples):
-        rows.append(
-            (
-                f"{t:.17g}",
-                f"{measures.purity(rho):.17g}",
-                f"{measures.purity(partial_trace(rho, 'B')):.17g}",
-                f"{measures.purity(partial_trace(rho, 'A')):.17g}",
-                f"{measures.negativity(rho):.17g}",
-            )
-        )
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    _atomic_write(args.out, buf.getvalue())
-    print(f"wrote {len(rows) - 1} rows to {args.out}")
+    rho = traj.samples
+    _write_csv(
+        args.out,
+        ["t", "purity_AB", "purity_A", "purity_B", "negativity"],
+        np.column_stack([
+            traj.times,
+            measures.purity(rho),
+            measures.purity(partial_trace(rho, "B")),
+            measures.purity(partial_trace(rho, "A")),
+            measures.negativity(rho),
+        ]),
+    )
+    print(f"wrote {traj.n} rows to {args.out}")
     return EXIT_OK
 
 

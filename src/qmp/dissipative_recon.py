@@ -38,9 +38,9 @@ from .bloch import coherence_series, pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
+    _require_hermitian,
     diff_series,
     finite_diff,
-    hermiticity_defect,
     partial_trace,
     rk4_integrate,
     spectrum,
@@ -98,8 +98,7 @@ class KossakowskiMatrix:
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=complex).reshape(15, 15)
-        if hermiticity_defect(k) > 1e-12 * max(1.0, float(np.abs(k).max())):
-            raise ValueError("Kossakowski matrix must be Hermitian")
+        _require_hermitian(k, "KossakowskiMatrix", rtol=1e-12)
         object.__setattr__(self, "k", k)
 
     def spectrum(self) -> np.ndarray:
@@ -137,8 +136,7 @@ def hamiltonian_action(h: np.ndarray) -> np.ndarray:
     Hermitian H (checked to 1e-12 and antisymmetrized).
     """
     h = np.asarray(h, dtype=complex)
-    if hermiticity_defect(h) > 1e-10 * max(1.0, float(np.abs(h).max())):
-        raise ValueError("hamiltonian_action expects a Hermitian matrix")
+    _require_hermitian(h, "hamiltonian_action", rtol=1e-10)
     g = traceless_basis()
     comm = -1j * (np.einsum("ij,kjl->kil", h, g) - np.einsum("kij,jl->kil", g, h))
     m = np.einsum("jab,kba->jk", g, comm) / 4.0

@@ -18,11 +18,12 @@ import numpy as np
 from .qcore import (
     Trajectory,
     cholesky_psd,
+    dag,
     partial_trace,
     spectrum,
     trace_power,
 )
-from .bloch import traceless_basis
+from .bloch import pauli_basis
 
 __all__ = [
     "MarginalPair",
@@ -98,13 +99,8 @@ def assemble_joint(rho_a, rho_b, ztilde) -> Optional[np.ndarray]:
     rho_a = np.asarray(rho_a, dtype=complex)
     rho_b = np.asarray(rho_b, dtype=complex)
     zt = np.asarray(ztilde, dtype=float).reshape(3, 3)
-    g = traceless_basis()
-    delta = np.zeros((4, 4), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            # generator index 4(i+1)+(j+1); the traceless stack starts at 1
-            delta += 0.25 * zt[i, j] * g[4 * (i + 1) + (j + 1) - 1]
-    cand = np.kron(rho_a, rho_b) + delta
+    g = pauli_basis().reshape(4, 4, 4, 4)[1:, 1:]  # sigma_i (x) sigma_j, i, j >= 1
+    cand = np.kron(rho_a, rho_b) + 0.25 * np.tensordot(zt, g, axes=2)
     if cholesky_psd(cand) is None:
         return None
     return cand
@@ -116,20 +112,14 @@ def unitarity_test(traj: Trajectory, tol: float = 1e-10, ks=(2, 3)) -> Unitarity
     A trajectory evolves unitarily iff every trace power is constant, so
     the max drift relative to the first sample decides the verdict.
     """
-    drift = {}
-    for k in ks:
-        vals = np.array([trace_power(s, k) for s in traj.samples])
-        drift[k] = float(np.max(np.abs(vals - vals[0])))
+    powers = {k: trace_power(traj.samples, k) for k in ks}
+    drift = {k: float(np.max(np.abs(p - p[0]))) for k, p in powers.items()}
     return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
 
 
 def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport:
     """Max distance between the sorted spectra of the two marginals."""
-    dist = 0.0
-    for a, b in zip(pair.rho_a.samples, pair.rho_b.samples):
-        wa = spectrum(a)
-        wb = spectrum(b)
-        dist = max(dist, float(np.max(np.abs(wa - wb))))
+    dist = float(np.max(np.abs(spectrum(pair.rho_a.samples) - spectrum(pair.rho_b.samples))))
     return IsospectralReport(dist < tol, dist, tol)
 
 
@@ -141,24 +131,19 @@ def _fixed_eigenbasis_branches(traj: Trajectory, basis_tol: float = 1e-8):
     branches off the diagonal at every time. Branch labels follow the
     fixed eigenvectors, not magnitude sorting, so crossings stay smooth.
     """
-    gaps = []
-    for s in traj.samples:
-        w = spectrum(s)
-        gaps.append(w[-1] - w[0])
-    ref = int(np.argmax(gaps))
-    w, v = spectrum(traj.samples[ref], vectors=True)
+    w = spectrum(traj.samples)
+    ref = int(np.argmax(w[:, -1] - w[:, 0]))
+    _, v = spectrum(traj.samples[ref], vectors=True)
     v = v[:, ::-1]  # descending eigenvalue at the reference time
-    branches = np.empty((traj.n, 2))
-    for i, s in enumerate(traj.samples):
-        m = v.conj().T @ s @ v
-        off = abs(m[0, 1])
-        if off > basis_tol:
-            raise ValueError(
-                "marginal is not diagonal in a fixed basis "
-                f"(off-diagonal {off:g} at sample {i}); rotate first"
-            )
-        branches[i] = m.diagonal().real
-    return branches
+    m = dag(v) @ traj.samples @ v
+    off = np.abs(m[:, 0, 1])
+    bad = np.flatnonzero(off > basis_tol)
+    if bad.size:
+        raise ValueError(
+            "marginal is not diagonal in a fixed basis "
+            f"(off-diagonal {off[bad[0]]:g} at sample {bad[0]}); rotate first"
+        )
+    return m.diagonal(axis1=1, axis2=2).real
 
 
 def _refined_extremum(t: np.ndarray, f: np.ndarray) -> float:

@@ -1,8 +1,10 @@
 """Small dense complex linear algebra and quantum-state primitives.
 
-Everything here works on plain numpy arrays (2x2 or 4x4 complex). All
-functions are pure: inputs are never mutated and results are freshly
-allocated, so values can be shared freely across threads.
+Everything here works on plain complex numpy arrays. The state
+primitives take one d x d matrix, giving a float (or scalar
+StateReport), or a (..., d, d) stack, giving one result per matrix.
+All functions are pure: inputs are never mutated and results are
+freshly allocated, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -50,21 +52,33 @@ CHOLESKY_PIVOT_TOL = 1e-12
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - dag(a))))
+def _per_matrix(x):
+    """A 0-d result (one matrix in) as a float; a stack's stays an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def hermiticity_defect(a: np.ndarray):
+    """max |a - a^dag| of a matrix, or of each matrix of a stack."""
+    return _per_matrix(np.abs(a - dag(a)).max(axis=(-2, -1)))
+
+
+def _require_hermitian(a: np.ndarray, caller: str, rtol: float = 1e-8):
+    """Reject ``a`` unless every matrix is Hermitian relative to its scale."""
+    if np.any(hermiticity_defect(a) > rtol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))):
+        raise ValueError(f"{caller} expects a Hermitian matrix")
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,12 @@ class StateReport:
     tol: float
 
     @property
-    def ok(self) -> bool:
+    def ok(self):
+        """A bool for one matrix, a boolean array for a stack."""
         return (
-            self.hermiticity_defect <= self.tol
-            and self.trace_defect <= self.tol
-            and self.min_eigenvalue >= -self.tol
+            (self.hermiticity_defect <= self.tol)
+            & (self.trace_defect <= self.tol)
+            & (self.min_eigenvalue >= -self.tol)
         )
 
 
@@ -94,6 +109,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_square(self.mat, "density matrix")
+        if m.ndim != 2:
+            raise ValueError(f"a DensityMatrix holds one matrix, got shape {m.shape}")
         object.__setattr__(self, "mat", m)
         report = validate_state(m, self.tol)
         if not report.ok:
@@ -123,8 +140,8 @@ class Trajectory:
             raise ValueError(f"samples must have shape (n, d, d), got {s.shape}")
         if s.shape[0] < 3:
             raise ValueError("need at least 3 samples")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.t0) and 0 < self.dt < np.inf):
+            raise ValueError("t0 must be finite and dt positive and finite")
         object.__setattr__(self, "samples", s)
 
     @property
@@ -169,12 +186,13 @@ def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
 
 
 def validate_state(rho: np.ndarray, tol: float = 1e-9) -> StateReport:
-    """Report how far ``rho`` is from being a density matrix."""
+    """Report how far ``rho`` (or each matrix of a stack) is from being a
+    density matrix."""
     rho = _as_square(rho, "rho")
     herm = hermiticity_defect(rho)
-    trace = float(abs(np.trace(rho) - 1.0))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     w = np.linalg.eigvalsh(0.5 * (rho + dag(rho)))
-    return StateReport(herm, trace, float(w[0]), tol)
+    return StateReport(herm, _per_matrix(trace), _per_matrix(w[..., 0]), tol)
 
 
 def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
@@ -185,8 +203,9 @@ def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
     vanishing pivot, certifies a negative direction and yields None.
     """
     rho = _as_square(rho, "rho")
-    if hermiticity_defect(rho) > 1e-8 * max(1.0, float(np.abs(rho).max())):
-        raise ValueError("cholesky_psd expects a Hermitian matrix")
+    if rho.ndim != 2:
+        raise ValueError(f"cholesky_psd factors one matrix, got shape {rho.shape}")
+    _require_hermitian(rho, "cholesky_psd")
     n = rho.shape[0]
     scale = max(1.0, float(np.abs(rho).max()))
     L = np.zeros((n, n), dtype=complex)
@@ -205,7 +224,7 @@ def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
     return L
 
 
-def trace_power(rho: np.ndarray, k: int) -> float:
+def trace_power(rho: np.ndarray, k: int):
     """Tr(rho^k) for k in 1..4 (real part; Hermitian input assumed)."""
     rho = _as_square(rho, "rho")
     if k not in (1, 2, 3, 4):
@@ -213,33 +232,28 @@ def trace_power(rho: np.ndarray, k: int) -> float:
     acc = rho
     for _ in range(k - 1):
         acc = acc @ rho
-    t = complex(np.trace(acc))
-    if abs(t.imag) > 1e-9 * max(1.0, abs(t.real)):
-        raise ValueError(f"trace power has large imaginary part {t.imag:g}")
-    return t.real
+    t = np.trace(acc, axis1=-2, axis2=-1)
+    if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
+        raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
+    return _per_matrix(t.real)
 
 
 def spectrum(h: np.ndarray, vectors: bool = False):
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix (or of each of a stack), ascending.
 
     With ``vectors=True`` also returns the orthonormal eigenvectors as
     matrix columns, in a deterministic gauge: the first component of each
     vector with magnitude above 1e-8 is made real and positive.
     """
     h = _as_square(h, "h")
-    if hermiticity_defect(h) > 1e-8 * max(1.0, float(np.abs(h).max())):
-        raise ValueError("spectrum expects a Hermitian matrix")
+    _require_hermitian(h, "spectrum")
     if not vectors:
         return np.linalg.eigvalsh(h)
     w, v = np.linalg.eigh(h)
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        ph = col[idx]
-        if abs(ph) > 0:
-            v[:, j] = col * (ph.conj() / abs(ph))
-    return w, v
+    lead = np.argmax(np.abs(v) > 1e-8, axis=-2)[..., np.newaxis, :]
+    ph = np.take_along_axis(v, lead, axis=-2)
+    # hypot, not np.abs: it rounds |ph| as the scalar abs() does
+    return w, v * (ph.conj() / np.hypot(ph.real, ph.imag))
 
 
 def finite_diff(traj: Trajectory) -> Trajectory:
@@ -293,9 +307,6 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
     n = rho.shape[0]
     out = np.empty((n_steps + 1, n, n), dtype=complex)
     out[0] = rho
-    tr0 = complex(np.trace(rho))
-    trace_drift = np.zeros(n_steps + 1)
-    herm_drift = np.zeros(n_steps + 1)
     half = 0.5 * dt
     for i in range(n_steps):
         t = t0 + i * dt
@@ -307,6 +318,7 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         if not np.all(np.isfinite(rho)):
             raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
         out[i + 1] = rho
-        trace_drift[i + 1] = abs(complex(np.trace(rho)) - tr0)
-        herm_drift[i + 1] = hermiticity_defect(rho)
-    return IntegrationResult(Trajectory(t0, dt, out), trace_drift, herm_drift)
+    trace = np.trace(out, axis1=1, axis2=2)
+    return IntegrationResult(
+        Trajectory(t0, dt, out), np.abs(trace - trace[0]), hermiticity_defect(out)
+    )

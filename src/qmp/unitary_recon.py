@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .qcore import Trajectory, dag, finite_diff, hermiticity_defect, spectrum
+from .qcore import Trajectory, dag, diff_series, hermiticity_defect, spectrum
 
 __all__ = [
     "OrbitSpec",
@@ -55,21 +55,10 @@ class OrbitSpec:
         return n * n - sum(len(b) ** 2 for b in self.partition)
 
 
-def _partition_degenerate(w: np.ndarray, tol: float = DEGENERACY_TOL) -> tuple:
-    """Group consecutive indices of a sorted eigenvalue list by closeness."""
-    blocks = [[0]]
-    for i in range(1, len(w)):
-        if abs(w[i] - w[i - 1]) <= tol:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return tuple(tuple(b) for b in blocks)
-
-
 def orbit_rep(rho: np.ndarray, tol: float = DEGENERACY_TOL) -> OrbitSpec:
     """Descending spectrum and degeneracy structure of a state."""
     w = spectrum(np.asarray(rho, dtype=complex))[::-1]
-    return OrbitSpec(w, _partition_degenerate(w, tol))
+    return OrbitSpec(w, tuple(_degenerate_blocks(w, tol)))
 
 
 def iwasawa_decompose(z: np.ndarray, tol: float = 1e-10):
@@ -114,7 +103,7 @@ class EvolutionSequence:
         if u.ndim != 3 or u.shape[1] != u.shape[2]:
             raise ValueError("u must have shape (n, d, d)")
         eye = np.eye(u.shape[1])
-        worst = max(np.max(np.abs(m @ dag(m) - eye)) for m in u)
+        worst = float(np.max(np.abs(u @ dag(u) - eye)))
         if worst > 1e-10:
             raise ValueError(f"sequence is not unitary (defect {worst:g})")
         if np.max(np.abs(u[0] - eye)) > 1e-10:
@@ -161,10 +150,10 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
     d = traj.dim
     frames = np.empty((n, d, d), dtype=complex)
     branches = np.empty((n, d))
-    w0, v0 = spectrum(traj.samples[0], vectors=True)
-    order = np.argsort(-w0, kind="stable")
-    v0 = v0[:, order]
-    w0 = w0[order]
+    ws, vs = spectrum(traj.samples, vectors=True)
+    order = np.argsort(-ws[0], kind="stable")
+    v0 = vs[0][:, order]
+    w0 = ws[0][order]
     # Inside a degenerate block of rho(t0) eigh's basis is arbitrary; take
     # the one diagonalizing rho(t1) there (columns nearest eigh's order),
     # so the frame does not jump when the block splits.
@@ -177,7 +166,7 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
     frames[0] = v0
     branches[0] = w0
     for i in range(1, n):
-        w, v = spectrum(traj.samples[i], vectors=True)
+        w, v = ws[i], vs[i]
         prev = frames[i - 1]
         overlap = np.abs(dag(prev) @ v) ** 2
         row, col = linear_sum_assignment(-overlap)
@@ -210,7 +199,7 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
 
 def _degenerate_blocks(w: np.ndarray, tol: float = DEGENERACY_TOL):
     """Index groups of (nearly) equal values in an unsorted label order."""
-    order = np.argsort(-w, kind="stable")
+    order = np.argsort(-w, kind="stable").tolist()
     blocks = []
     current = [order[0]]
     for a, b in zip(order[:-1], order[1:]):
@@ -275,9 +264,8 @@ def hamiltonian_from_evolution(seq: EvolutionSequence) -> HamiltonianResult:
     traceless, with the worst pre-symmetrization defect reported. The
     result does not depend on a constant right gauge factor of U.
     """
-    du = finite_diff(Trajectory(seq.t0, seq.dt, seq.u))
-    h = 1j * np.einsum("nij,nkj->nik", du.samples, seq.u.conj())
-    defect = float(max(hermiticity_defect(m) for m in h))
+    h = 1j * np.einsum("nij,nkj->nik", diff_series(seq.u, seq.dt), seq.u.conj())
+    defect = float(np.max(hermiticity_defect(h)))
     h = 0.5 * (h + np.conj(np.transpose(h, (0, 2, 1))))
     tr = np.trace(h, axis1=1, axis2=2).real / h.shape[1]
     h -= tr[:, np.newaxis, np.newaxis] * np.eye(h.shape[1])

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -56,6 +57,36 @@ class TestSerialization:
         with pytest.raises(CliError) as exc:
             trajectory_from_dict(doc)
         assert exc.value.code == EXIT_INVALID
+
+
+_DOC = trajectory_to_dict(scenario_example1(2.0).joint(0.0, 0.1, 3))
+
+
+@pytest.mark.parametrize(
+    "edits, named",
+    [
+        ({("samples",): None}, "'samples'"),
+        ({("samples", 1): 0.5}, "samples"),
+        ({("samples", 1, 3, 0): "0.25"}, "samples"),
+        ({("samples", 1, 3): [0.25, 0.0, 0.0]}, "samples"),
+        ({("samples", 2, 5, 1): float("nan")}, "sample 2"),
+        ({("dt",): 0.0}, "dt"),
+        ({("dim",): 4.5}, "'dim'"),
+        ({("n",): 2, ("samples",): _DOC["samples"][:2]}, "3 samples"),
+    ],
+    ids=["null-samples", "non-list-sample", "string-entry", "three-element-entry", "nan", "dt-zero", "fractional-dim", "n-two"],
+)
+def test_schema_violations_exit_4(tmp_path, capsys, edits, named):
+    doc = copy.deepcopy(_DOC)
+    for (*head, last), value in edits.items():
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("check", path) == EXIT_PARSE
+    assert named in capsys.readouterr().err
 
 
 class TestScenarioCommand:

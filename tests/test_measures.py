@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmp.kinematics import scenario_example1, scenario_example3
-from qmp.measures import negativity, negativity_series, partial_transpose, purity
+from qmp.measures import negativity, partial_transpose, purity
 from qmp.qcore import spectrum, tensor
 
 from _oracles import random_state
@@ -88,6 +88,6 @@ class TestNegativity:
 
     def test_damped_scenario_series(self):
         traj = scenario_example3(2.0, 0.2).joint(0.0, 0.01, 201)
-        neg = negativity_series(traj.samples)
+        neg = negativity(traj.samples)
         assert neg[0] == pytest.approx(0.0, abs=1e-12)
         assert neg[1:].max() > 0.05

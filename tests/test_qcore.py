@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qmp.bloch import pauli_decompose
+from qmp.measures import negativity, partial_transpose, purity
 from qmp.qcore import (
     SIGMA,
     DensityMatrix,
+    StateReport,
     Trajectory,
     cholesky_psd,
     dag,
     diff_series,
     finite_diff,
+    hermiticity_defect,
     partial_trace,
     rk4_integrate,
     spectrum,
@@ -167,3 +174,65 @@ class TestRk4:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError):
                 rk4_integrate(rhs, np.eye(2, dtype=complex), 0.0, 1.0, 100)
+
+
+# (n, 2, 4, 4) real and imaginary parts of Z; each sample is Z Z^dag / Tr.
+state_factors = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.just(2), st.just(4), st.just(4)),
+    elements=st.floats(-1.0, 1.0),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=state_factors)
+def test_stack_primitives_match_per_sample_numpy(a):
+    z = a[:, 0] + 1j * a[:, 1]
+    rho = z @ np.conj(np.swapaxes(z, 1, 2))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    assume(np.all(tr > 1e-3))
+    rho = rho / tr[:, None, None]
+
+    herm = hermiticity_defect(rho)
+    rep = validate_state(rho)
+    powers = {k: trace_power(rho, k) for k in (1, 2, 3, 4)}
+    w = spectrum(rho)
+    ws, vs = spectrum(rho, vectors=True)
+    pts = {sub: partial_transpose(rho, sub) for sub in ("A", "B")}
+    pur = purity(rho)
+    neg = negativity(rho)
+    coeffs = pauli_decompose(rho).h
+    for i, r in enumerate(rho):
+        eig = np.linalg.eigvalsh(r)
+        assert herm[i] == pytest.approx(np.max(np.abs(r - r.conj().T)), abs=1e-12)
+        assert rep.trace_defect[i] == pytest.approx(abs(np.trace(r) - 1), abs=1e-12)
+        assert rep.min_eigenvalue[i] == pytest.approx(eig[0], abs=1e-12)
+        assert rep.ok[i] == (eig[0] >= -rep.tol)
+        for k, vals in powers.items():
+            assert vals[i] == pytest.approx(np.trace(np.linalg.matrix_power(r, k)).real, abs=1e-12)
+        assert pur[i] == pytest.approx(np.trace(r @ r).real, abs=1e-12)
+        np.testing.assert_allclose(w[i], eig, atol=1e-12)
+        np.testing.assert_allclose(ws[i], eig, atol=1e-12)
+        np.testing.assert_allclose(vs[i] @ np.diag(ws[i]) @ vs[i].conj().T, r, atol=1e-12)
+        w2, v2 = spectrum(r, vectors=True)
+        np.testing.assert_allclose(vs[i], v2, atol=1e-12)
+        blocks = r.reshape(2, 2, 2, 2)
+        pt_b = blocks.transpose(0, 3, 2, 1).reshape(4, 4)
+        np.testing.assert_allclose(pts["B"][i], pt_b, atol=1e-12)
+        np.testing.assert_allclose(pts["A"][i], blocks.transpose(2, 1, 0, 3).reshape(4, 4), atol=1e-12)
+        pt_eig = np.linalg.eigvalsh(pt_b)
+        assert neg[i] == pytest.approx(-pt_eig[pt_eig < 0].sum(), abs=1e-12)
+        for x in range(4):
+            for y in range(4):
+                g = np.kron(SIGMA[x], SIGMA[y])
+                assert coeffs[i, x, y] == pytest.approx(np.trace(r @ g).real / 4, abs=1e-12)
+
+    # one matrix in: the scalar types callers had before stacks
+    one = rho[0]
+    for value in (hermiticity_defect(one), trace_power(one, 3), purity(one), negativity(one)):
+        assert type(value) is float
+    rep1 = validate_state(one)
+    assert isinstance(rep1, StateReport) and type(rep1.ok) is bool
+    assert all(type(f) is float for f in (rep1.hermiticity_defect, rep1.trace_defect, rep1.min_eigenvalue))
+    assert spectrum(one).shape == (4,) and pauli_decompose(one).h.shape == (4, 4)
+    assert type(pauli_decompose(one).identity) is float
