@@ -303,7 +303,7 @@ def cmd_reconstruct_master(args) -> int:
         "residual": fit.residual,
         "d_diag": list(fit.d_diag),
     }
-    any_cp = False
+    valid = []  # (report entry, Kossakowski matrix) of each CP-valid candidate
     for label, d_full, k in dr.candidate_diagonals(fit):
         cp = dr.cp_check(k)
         entry = {
@@ -315,19 +315,26 @@ def cmd_reconstruct_master(args) -> int:
             "min_k_eigenvalue": cp.min_eigenvalue,
         }
         if cp.valid:
-            any_cp = True
             # K is fitted in the eigenframe V(t) = U(t) V0, not in U(t)
-            rhs_diss = dr.rotate_dissipator(k.conjugated(frame.v0), frame.useq)
-
-            def rhs(t, rho, _d=rhs_diss):
-                return dr.gksl_apply(h_mean, None, rho) + _d(t, rho)
-
-            rt = dr.roundtrip_verify(traj, rhs, stride=stride)
-            entry["roundtrip_deviation"] = rt.max_deviation
-            entry["roundtrip_marginals"] = [rt.max_marginal_a, rt.max_marginal_b]
+            valid.append((entry, k.conjugated(frame.v0)))
         doc["candidates"].append(entry)
+    if valid:
+        # every CP-valid candidate integrates in one RK4 loop; on an odd
+        # interval count the RK4 midpoints need U between samples
+        useq = frame.useq if stride == 2 else frame.useq.half_grid()
+        diss = dr.rotate_dissipator([k for _, k in valid], useq)
+
+        def rhs(t, rho):
+            return dr.gksl_apply(h_mean, None, rho) + diss(t, rho)
+
+        rt = dr.roundtrip_verify(traj, rhs, stride=stride)
+        for j, (entry, _) in enumerate(valid):
+            entry["roundtrip_deviation"] = float(rt.max_deviation[j])
+            entry["roundtrip_marginals"] = [
+                float(rt.max_marginal_a[j]), float(rt.max_marginal_b[j])
+            ]
     write_report(os.path.join(args.out, "report.json"), doc)
-    return EXIT_OK if any_cp else EXIT_NO_CP
+    return EXIT_OK if valid else EXIT_NO_CP
 
 
 def cmd_measures(args) -> int:

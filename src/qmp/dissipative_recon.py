@@ -38,6 +38,7 @@ from .bloch import coherence_series, pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
+    _per_matrix,
     _require_hermitian,
     diff_series,
     finite_diff,
@@ -233,10 +234,16 @@ def k_from_d(d_diag, tol: float = 1e-10) -> KossakowskiMatrix:
     return KossakowskiMatrix.from_diagonal(k)
 
 
+def _liouville_apply(lk: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L vec(X) for a (..., 16, 16) L and a (..., 4, 4) X, broadcast."""
+    y = lk @ x.reshape(x.shape[:-2] + (16, 1))
+    return y.reshape(y.shape[:-2] + (4, 4))
+
+
 def dissipator_apply(k: KossakowskiMatrix, x: np.ndarray) -> np.ndarray:
-    """The dissipator sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X})."""
-    x = np.asarray(x, dtype=complex)
-    return (k.liouvillian @ x.reshape(16)).reshape(4, 4)
+    """The dissipator sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X}) of a
+    4x4 X or of each of a (..., 4, 4) stack."""
+    return _liouville_apply(k.liouvillian, np.asarray(x, dtype=complex))
 
 
 def d_from_k(k: KossakowskiMatrix) -> AffineGenerator:
@@ -338,7 +345,8 @@ def candidate_diagonals(fit: DiagonalFit, tol: float = 1e-8):
 
 
 def gksl_apply(h: np.ndarray, k: Optional[KossakowskiMatrix], rho: np.ndarray) -> np.ndarray:
-    """Full master-equation right-hand side -i[H, rho] + Diss_K[rho]."""
+    """Full master-equation right-hand side -i[H, rho] + Diss_K[rho];
+    ``h`` and ``rho`` may be (..., 4, 4) stacks, broadcast together."""
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     out = -1j * (h @ rho - rho @ h)
@@ -348,15 +356,23 @@ def gksl_apply(h: np.ndarray, k: Optional[KossakowskiMatrix], rho: np.ndarray) -
 
 
 def rotate_dissipator(
-    k: KossakowskiMatrix, useq: EvolutionSequence, tol: float = 1e-9
+    k, useq: EvolutionSequence, tol: float = 1e-9
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Lab-frame applier of a diagonal-frame dissipator.
+    """Lab-frame applier of one diagonal-frame dissipator, or of c.
 
     Returns a callable (t, rho) -> U_t Diss_K[U_t^dag rho U_t] U_t^dag
-    with U_t looked up on the sequence grid; off-grid times are
-    rejected, so integration steps must land on grid samples.
+    with U_t looked up once per call on the sequence grid; off-grid
+    times are rejected, so integration steps must land on grid samples
+    (``EvolutionSequence.half_grid`` adds the midpoints). For one
+    KossakowskiMatrix, rho is a 4x4 matrix or a (..., 4, 4) stack. For
+    a sequence of c, their Liouvillians are stacked once as (c, 16, 16)
+    and state j of a (c, 4, 4) stack gets dissipator j; one 4x4 rho
+    gets all c, as a (c, 4, 4) stack.
     """
-    lk = k.liouvillian
+    if isinstance(k, KossakowskiMatrix):
+        lk = k.liouvillian
+    else:
+        lk = np.stack([kj.liouvillian for kj in k])
 
     def apply(t: float, rho: np.ndarray) -> np.ndarray:
         idx = (t - useq.t0) / useq.dt
@@ -365,8 +381,7 @@ def rotate_dissipator(
             raise ValueError(f"time {t:g} is not on the unitary grid")
         u = useq.u[i]
         ud = u.conj().T
-        sigma = ud @ rho @ u
-        return u @ (lk @ sigma.reshape(16)).reshape(4, 4) @ ud
+        return u @ _liouville_apply(lk, ud @ rho @ u) @ ud
 
     return apply
 
@@ -388,6 +403,8 @@ def constant_generator(h: np.ndarray, k: Optional[KossakowskiMatrix] = None):
 
 @dataclass(frozen=True)
 class RoundtripReport:
+    """Floats for one generator, length-c arrays for a stack of c."""
+
     max_deviation: float
     max_marginal_a: float
     max_marginal_b: float
@@ -397,18 +414,29 @@ class RoundtripReport:
 def roundtrip_verify(traj: Trajectory, rhs, stride: int = 1) -> RoundtripReport:
     """Re-integrate a generator from the first sample and compare.
 
-    RK4 steps of size stride * dt are taken so that, with stride 2, the
-    midpoint evaluations fall on grid samples (needed when ``rhs`` looks
-    unitaries up on the trajectory's half-spaced grid). Deviations are
-    max Frobenius distance of the joint state and max absolute entry
-    deviation of each marginal.
+    The integrated state takes the shape ``rhs`` returns for rho(t0):
+    a 4x4 matrix for one generator, or a (c, 4, 4) stack when ``rhs``
+    evaluates c generators at once (as ``rotate_dissipator`` does for c
+    Kossakowski matrices); then all c run in one RK4 loop and every
+    report field holds one value per generator. RK4 steps of size
+    stride * dt are taken. When ``rhs`` looks unitaries up on the
+    trajectory's own grid, use stride 2 so that the midpoint
+    evaluations fall on grid samples; on an odd number of intervals,
+    use stride 1 and look them up on ``useq.half_grid()``. Deviations
+    are max Frobenius distance of the joint state and max absolute
+    entry deviation of each marginal.
     """
     if stride < 1 or (traj.n - 1) % stride != 0:
         raise ValueError("stride must divide the number of intervals")
     n_steps = (traj.n - 1) // stride
-    result = rk4_integrate(rhs, traj.samples[0], traj.t0, stride * traj.dt, n_steps)
-    diff = result.trajectory.samples - traj.samples[::stride]
-    dev = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
-    dev_a = float(np.max(np.abs(partial_trace(diff, "B"))))
-    dev_b = float(np.max(np.abs(partial_trace(diff, "A"))))
-    return RoundtripReport(dev, dev_a, dev_b, result.max_trace_drift)
+    rho0 = traj.samples[0]
+    rho0 = np.broadcast_to(rho0, np.shape(rhs(traj.t0, rho0)))
+    result = rk4_integrate(rhs, rho0, traj.t0, stride * traj.dt, n_steps)
+    # time axis third from last, so each generator's run is compared whole
+    diff = np.moveaxis(result.samples, 0, -3) - traj.samples[::stride]
+    dev = np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1)
+    dev_a = np.max(np.abs(partial_trace(diff, "B")), axis=(-3, -2, -1))
+    dev_b = np.max(np.abs(partial_trace(diff, "A")), axis=(-3, -2, -1))
+    return RoundtripReport(
+        _per_matrix(dev), _per_matrix(dev_a), _per_matrix(dev_b), result.max_trace_drift
+    )

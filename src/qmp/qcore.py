@@ -279,33 +279,49 @@ def diff_series(values: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    trajectory: Trajectory
+    """RK4 output: ``samples`` is (n_steps + 1, d, d) for one state, or
+    (n_steps + 1, c, d, d) for a stack of c; the drifts are per sample,
+    and per state of a stack."""
+
+    t0: float
+    dt: float
+    samples: np.ndarray = field(repr=False)
     trace_drift: np.ndarray = field(repr=False)
     hermiticity_drift: np.ndarray = field(repr=False)
 
     @property
-    def max_trace_drift(self) -> float:
-        return float(np.max(self.trace_drift))
+    def trajectory(self) -> Trajectory:
+        """The samples of one integrated state as a Trajectory."""
+        if self.samples.ndim != 3:
+            raise ValueError("a stack of states has no single trajectory; use samples")
+        return Trajectory(self.t0, self.dt, self.samples)
 
     @property
-    def max_hermiticity_drift(self) -> float:
-        return float(np.max(self.hermiticity_drift))
+    def max_trace_drift(self):
+        return _per_matrix(np.max(self.trace_drift, axis=0))
+
+    @property
+    def max_hermiticity_drift(self):
+        return _per_matrix(np.max(self.hermiticity_drift, axis=0))
 
 
 def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> IntegrationResult:
     """Classic fixed-step RK4 for d(rho)/dt = generator(t, rho).
 
-    ``rho0`` may be a DensityMatrix or a plain matrix. Returns the
-    trajectory (n_steps + 1 samples) along with per-sample trace and
-    Hermiticity drift relative to the initial state.
+    ``rho0`` is a DensityMatrix, one (d, d) matrix or a (c, d, d) stack
+    of c states integrated together: ``generator`` gets and returns the
+    whole stack, once per RK4 stage. Returns the n_steps + 1 samples
+    with the trace and Hermiticity drift of every state relative to its
+    initial one; a step with a non-finite entry in any state raises.
     """
     if isinstance(rho0, DensityMatrix):
         rho0 = rho0.mat
     rho = _as_square(rho0, "rho0")
+    if rho.ndim > 3:
+        raise ValueError(f"rho0 must be one matrix or a (c, d, d) stack, got shape {rho.shape}")
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    n = rho.shape[0]
-    out = np.empty((n_steps + 1, n, n), dtype=complex)
+    out = np.empty((n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
     half = 0.5 * dt
     for i in range(n_steps):
@@ -318,7 +334,7 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         if not np.all(np.isfinite(rho)):
             raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
         out[i + 1] = rho
-    trace = np.trace(out, axis1=1, axis2=2)
+    trace = np.trace(out, axis1=-2, axis2=-1)
     return IntegrationResult(
-        Trajectory(t0, dt, out), np.abs(trace - trace[0]), hermiticity_defect(out)
+        t0, dt, out, np.abs(trace - trace[0]), hermiticity_defect(out)
     )

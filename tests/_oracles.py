@@ -3,8 +3,9 @@
 These deliberately take different routes than the production code
 (per-term application and term-by-term kron sums instead of one einsum
 over the Kossakowski matrix, eigenvalue tests instead of Cholesky
-pivots) so that agreement between the two is meaningful. Nothing here
-imports qmp.dissipative_recon.
+pivots, one RK4 loop per state instead of one over a stack) so that
+agreement between the two is meaningful. Nothing here imports
+qmp.dissipative_recon or qmp.qcore.rk4_integrate.
 """
 
 import numpy as np
@@ -67,3 +68,26 @@ def affine_from_superoperator(s):
     image = (s @ np.eye(4, dtype=complex).reshape(-1)).reshape(4, 4)
     l = np.einsum("jab,ba->j", g, image).real / 4.0
     return d, l
+
+
+def rk4_per_state(generator, rho0, t0, dt, n_steps):
+    """Fixed-step RK4 for one d x d state, one Python step at a time.
+
+    Returns the (n_steps + 1, d, d) samples and the per-sample trace and
+    Hermiticity drift relative to the initial state.
+    """
+    rho = np.array(rho0, dtype=complex)
+    out = [rho]
+    half = 0.5 * dt
+    for i in range(n_steps):
+        t = t0 + i * dt
+        k1 = generator(t, rho)
+        k2 = generator(t + half, rho + half * k1)
+        k3 = generator(t + half, rho + half * k2)
+        k4 = generator(t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(rho)
+    out = np.array(out)
+    trace = np.array([np.trace(s) for s in out])
+    herm = np.array([np.max(np.abs(s - s.conj().T)) for s in out])
+    return out, np.abs(trace - trace[0]), herm

@@ -124,18 +124,19 @@ def test_criterion_4_master_equation_round_trip(announce):
 
 def test_criterion_5_trace_invariants(announce):
     rng = np.random.default_rng(12345)
+    pairs = [(random_hermitian(rng), random_state(rng)) for _ in range(50)]
+    h = np.array([p[0] for p in pairs])
+    rho0 = np.array([p[1] for p in pairs])
+
+    def rhs(t, rho):
+        return -1j * (h @ rho - rho @ h)
+
+    # all 50 instances as one (50, 4, 4) stack
+    res = rk4_integrate(rhs, rho0, 0.0, 1e-3, 10000)
     worst = 0.0
-    for _ in range(50):
-        h = random_hermitian(rng)
-        rho0 = random_state(rng)
-
-        def rhs(t, rho, _h=h):
-            return -1j * (_h @ rho - rho @ _h)
-
-        res = rk4_integrate(rhs, rho0, 0.0, 1e-3, 10000)
-        for k in (2, 3):
-            vals = np.array([trace_power(s, k) for s in res.trajectory.samples[::100]])
-            worst = max(worst, float(np.max(np.abs(vals - vals[0]))))
+    for k in (2, 3):
+        vals = trace_power(res.samples[::100], k)
+        worst = max(worst, float(np.max(np.abs(vals - vals[0]))))
     traj = scenario_example3(J, GAMMA).joint(0.0, 0.01, 1001)
     purities = np.array([trace_power(s, 2) for s in traj.samples])
     drop = purities[0] - purities.min()

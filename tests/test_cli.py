@@ -169,6 +169,18 @@ class TestReconstructCommands:
         assert max(best["k_diag"]) == pytest.approx(0.1, abs=1e-6)
         assert best["roundtrip_deviation"] < 1e-3
 
+    def test_master_on_odd_interval_count(self, tmp_path):
+        # 401 intervals: the RK4 midpoints fall between samples
+        out = tmp_path / "ex3"
+        run("scenario", "example3", "--t-max", 2, "--steps", 401, "--out", out)
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
+        doc = json.loads((rec / "report.json").read_text())
+        valid = [c for c in doc["candidates"] if c["cp_valid"]]
+        assert valid
+        for c in valid:
+            assert c["roundtrip_deviation"] < 1e-4, c["label"]
+
     def test_master_is_basis_independent(self, tmp_path):
         # example3 under a fixed local unitary W_A x W_B is the same physics;
         # its degenerate rho(t0) and non-computational eigenbasis must not

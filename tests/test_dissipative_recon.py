@@ -34,6 +34,7 @@ from _oracles import (
     dissipator_superoperator,
     random_hermitian,
     random_state,
+    rk4_per_state,
 )
 
 rng = np.random.default_rng(2718)
@@ -360,6 +361,50 @@ class TestRotateAndRoundtrip:
         traj = scenario_example1(2.0).joint(0.0, 1e-3, 11)
         with pytest.raises(ValueError):
             roundtrip_verify(traj, constant_generator(np.zeros((4, 4))), stride=3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_rk4_matches_per_state_oracle(c, seed):
+    r = np.random.default_rng(seed)
+    dt, n_steps = 0.02, 8
+    # U on the half-spaced grid, so that the RK4 midpoints are samples
+    z = r.normal(size=(2 * n_steps, 4, 4)) + 1j * r.normal(size=(2 * n_steps, 4, 4))
+    u = np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]])
+    useq = EvolutionSequence(0.0, dt / 2, u, np.full(4, 0.25))
+    hs = np.array([random_hermitian(r) for _ in range(c)])
+    a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
+    ks = [KossakowskiMatrix(0.005 * aj @ aj.conj().T) for aj in a]
+    # any matrices: non-Hermitian, with unequal traces, so that every
+    # state has its own trace and Hermiticity drift
+    rho0 = r.normal(size=(c, 4, 4)) + 1j * r.normal(size=(c, 4, 4))
+    diss = rotate_dissipator(ks, useq)
+
+    def stacked(t, rho):
+        return gksl_apply(hs, None, rho) + diss(t, rho)
+
+    def single(j):
+        dj = rotate_dissipator(ks[j], useq)
+        return lambda t, rho: gksl_apply(hs[j], None, rho) + dj(t, rho)
+
+    res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
+    assert res.samples.shape == (n_steps + 1, c, 4, 4)
+    assert np.shape(res.max_trace_drift) == np.shape(res.max_hermiticity_drift) == (c,)
+    for j in range(c):
+        samples, trace_drift, herm_drift = rk4_per_state(single(j), rho0[j], 0.0, dt, n_steps)
+        np.testing.assert_allclose(res.samples[:, j], samples, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.trace_drift[:, j], trace_drift, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.hermiticity_drift[:, j], herm_drift, rtol=0, atol=1e-14)
+        assert res.max_trace_drift[j] == pytest.approx(trace_drift.max(), rel=0, abs=1e-14)
+        assert res.max_hermiticity_drift[j] == pytest.approx(herm_drift.max(), rel=0, abs=1e-14)
+
+    traj = Trajectory(0.0, dt / 2, np.array([random_state(r) for _ in range(2 * n_steps + 1)]))
+    rep = roundtrip_verify(traj, stacked, stride=2)
+    for j in range(c):
+        one = roundtrip_verify(traj, single(j), stride=2)
+        for name in ("max_deviation", "max_marginal_a", "max_marginal_b", "trace_drift"):
+            assert np.shape(getattr(rep, name)) == (c,)
+            assert getattr(rep, name)[j] == pytest.approx(getattr(one, name), rel=0, abs=1e-14)
 
 
 def test_affine_generator_validation():

@@ -160,6 +160,19 @@ class TestHamiltonianFromEvolution:
         np.testing.assert_allclose(h1, h2, atol=1e-10)
 
 
+def test_half_grid_is_geodesic_midpoint():
+    # for U(t) = exp(-iHt) the geodesic midpoint of U_i and U_{i+1} is
+    # U(t_i + dt/2), as long as the step turns every phase by less than pi
+    h = random_hermitian(np.random.default_rng(5))
+    dt = 0.5 / np.max(np.abs(np.linalg.eigvalsh(h)))
+    u = np.array([expm(-1j * h * i * dt) for i in range(7)])
+    half = EvolutionSequence(0.0, dt, u, np.full(4, 0.25)).half_grid()
+    assert (half.n, half.dt) == (13, dt / 2)
+    np.testing.assert_array_equal(half.u[::2], u)
+    mid = np.array([expm(-1j * h * (i + 0.5) * dt) for i in range(6)])
+    np.testing.assert_allclose(half.u[1::2], mid, atol=1e-13)
+
+
 class TestEigenframe:
     def test_dissipative_hamiltonian_part(self):
         j, gamma = 2.0, 0.2
