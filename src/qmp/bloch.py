@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .qcore import SIGMA, _per_matrix, _require_hermitian, dag
 
@@ -120,10 +119,22 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
 
 
 def su2_from_so3(r: np.ndarray) -> np.ndarray:
-    """SU(2) element u with u sigma_k u^dag = sum_j R_jk sigma_j."""
+    """SU(2) element u with u sigma_k u^dag = sum_j R_jk sigma_j.
+
+    With R_00 = 1, sum_jk R_jk sigma_j X sigma_k = 2 Tr(u^dag X) u for
+    any X; X is the sigma_a with the largest result (Shepperd's branch
+    choice, J. Guidance Control 1, 223 (1978)), scaled to det u = 1.
+    R must be a proper rotation within 1e-10; the sign of u is free.
+    """
     r = np.asarray(r, dtype=float)
-    qx, qy, qz, qw = Rotation.from_matrix(r).as_quat()
-    return qw * SIGMA[0] - 1j * (qx * SIGMA[1] + qy * SIGMA[2] + qz * SIGMA[3])
+    orthogonal = r.shape == (3, 3) and np.allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-10)
+    if not orthogonal or np.linalg.det(r) < 0:
+        raise ValueError("su2_from_so3 expects a proper 3x3 rotation matrix")
+    r4 = np.eye(4)
+    r4[1:, 1:] = r
+    m = np.einsum("jk,jab,xbc,kcd->xad", r4, SIGMA, SIGMA, SIGMA)
+    m = m[np.argmax(np.linalg.norm(m, axis=(1, 2)))]
+    return m / np.sqrt(np.linalg.det(m))
 
 
 def x_form(rho: np.ndarray, tol: float = 1e-10):

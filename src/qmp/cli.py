@@ -13,10 +13,14 @@ reconstruct Hamiltonians or master equations, and dump measure series:
 Trajectory files are JSON with fields dim, t0, dt, n, params and
 samples, where samples[i] lists the dim^2 entries of the matrix at time
 t0 + i*dt row-major, each complex entry as an [re, im] pair. Exit
-codes: 0 success, 2 validation failure, 3 no CP-valid candidate,
-4 parse error: unreadable JSON or any schema violation (a missing or
-mistyped field, a sample of the wrong shape, a non-finite number,
-n < 3, dt <= 0), reported with the field or sample index. The env var
+codes: 0 success, 2 validation failure (an invalid state, or a file
+that is not a dim-4 joint trajectory given to single-file check,
+reconstruct or measures; nothing is written then), 3 no CP-valid
+candidate, 4 parse error: unreadable JSON or any schema violation (a
+missing or mistyped field, a sample of the wrong shape, a non-finite
+number, n < 3, dt <= 0), reported with the field or sample index, or a
+bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
+a finite number > 0), reported with the option's name. The env var
 QMP_TOL overrides the default tolerance 1e-10 used by the checks.
 """
 
@@ -46,14 +50,27 @@ class CliError(Exception):
         self.code = code
 
 
+def _positive_finite(raw, name: str) -> float:
+    """float(raw) if it is a finite number > 0, else exit 4 naming ``name``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0.0):
+        raise CliError(f"{name} must be a finite number > 0, got {raw!r}", EXIT_PARSE)
+    return value
+
+
 def default_tol() -> float:
     raw = os.environ.get("QMP_TOL")
-    if raw is None:
-        return 1e-10
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"QMP_TOL is not a number: {raw!r}", EXIT_PARSE)
+    return 1e-10 if raw is None else _positive_finite(raw, "QMP_TOL")
+
+
+def _joint_trajectory(path: str, command: str) -> Trajectory:
+    traj = load_trajectory(path)
+    if traj.dim != 4:
+        raise CliError(f"{command} expects a dim-4 joint trajectory", EXIT_INVALID)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +184,9 @@ def write_report(path_or_none, doc: dict):
 
 
 def cmd_scenario(args) -> int:
+    if args.steps < 2:
+        raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_PARSE)
+    t_max = _positive_finite(args.t_max, "--t-max")
     name = args.name
     if name == "example1":
         sc = kinematics.scenario_example1(args.J)
@@ -179,7 +199,7 @@ def cmd_scenario(args) -> int:
         params = {"J": args.J, "gamma": args.gamma}
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unknown scenario {name}", EXIT_PARSE)
-    dt = args.t_max / args.steps
+    dt = t_max / args.steps
     n = args.steps + 1
     pair = sc.marginals(0.0, dt, n)
     os.makedirs(args.out, exist_ok=True)
@@ -204,11 +224,9 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = default_tol() if args.tol is None else _positive_finite(args.tol, "--tol")
     if len(args.files) == 1:
-        traj = load_trajectory(args.files[0])
-        if traj.dim != 4:
-            raise CliError("single-file check expects a dim-4 joint trajectory", EXIT_INVALID)
+        traj = _joint_trajectory(args.files[0], "single-file check")
         rep = kinematics.unitarity_test(traj, tol)
         doc = {
             "check": "unitarity",
@@ -240,7 +258,7 @@ def cmd_check(args) -> int:
 
 def cmd_reconstruct_unitary(args) -> int:
     tol = default_tol()
-    traj = load_trajectory(args.file)
+    traj = _joint_trajectory(args.file, "reconstruct")
     rep = kinematics.unitarity_test(traj, max(tol, 1e-8))
     if not rep.passed:
         raise CliError(
@@ -267,7 +285,7 @@ def cmd_reconstruct_unitary(args) -> int:
 
 def cmd_reconstruct_master(args) -> int:
     tol = default_tol()
-    traj = load_trajectory(args.file)
+    traj = _joint_trajectory(args.file, "reconstruct")
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
     h_mean = ham.trajectory.samples.mean(axis=0)
@@ -338,9 +356,7 @@ def cmd_reconstruct_master(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    traj = load_trajectory(args.file)
-    if traj.dim != 4:
-        raise CliError("measures expects a dim-4 joint trajectory", EXIT_INVALID)
+    traj = _joint_trajectory(args.file, "measures")
     rho = traj.samples
     _write_csv(
         args.out,
@@ -378,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="unitarity / marginal-pair checks")
     ck.add_argument("files", nargs="+", help="joint file, or marginal A and B files")
-    ck.add_argument("--tol", type=float, default=None)
+    ck.add_argument("--tol", default=None)
     ck.add_argument("--out", default=None)
     ck.set_defaults(func=cmd_check)
 

@@ -31,8 +31,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import nnls
 
 from .bloch import coherence_series, pauli_basis, traceless_basis
 from .qcore import (
@@ -278,6 +276,12 @@ class IntegratedCpReport:
     min_integral: float
 
 
+def _cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integrals of y from row 0 to each row, with row 0 zero."""
+    cum = np.cumsum(dt * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + y.shape[1:]), cum])
+
+
 def integrated_cp_check(
     k_diag_series: np.ndarray, t0: float, dt: float, tol: float = 1e-10
 ) -> IntegratedCpReport:
@@ -289,11 +293,40 @@ def integrated_cp_check(
     ks = np.asarray(k_diag_series, dtype=float)
     if ks.ndim != 2:
         raise ValueError("expected an (n, m) series of diagonal entries")
-    cum = cumulative_trapezoid(ks, dx=dt, axis=0, initial=0.0)
+    cum = _cumulative_trapezoid(ks, dt)
     flat = int(np.argmin(cum))
     row, col = np.unravel_index(flat, cum.shape)
     worst = float(cum[row, col])
     return IntegratedCpReport(worst >= -tol, int(col), t0 + dt * int(row), worst)
+
+
+_NNLS_TOL = 1e-12  # relative to the rounding scale of each test
+_NNLS_MAX_ITER = 100
+
+
+def _nnls(a: np.ndarray, b: np.ndarray):
+    """(x >= 0 minimizing ||a x - b||, that norm) by the Lawson-Hanson
+    active-set method (*Solving Least Squares Problems*, 1974, ch. 23).
+    Of several optimal vertices of a rank-deficient problem, any one may
+    be returned. Raises ValueError if it does not converge."""
+    x = np.zeros(a.shape[1])
+    passive = np.zeros(a.shape[1], dtype=bool)
+    for _ in range(_NNLS_MAX_ITER):
+        z = np.zeros_like(x)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        if np.any(z[passive] < 0.0):  # step toward z until an entry hits 0
+            neg = passive & (z < 0.0)
+            x = x + np.min(x[neg] / (x[neg] - z[neg])) * (z - x)
+            passive &= x > _NNLS_TOL * x.max()
+            x[~passive] = 0.0
+            continue
+        x = z
+        grad = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        amax = np.abs(a).max()
+        if grad.max() <= _NNLS_TOL * amax * (np.abs(b).max() + amax * x.sum()):
+            return x, float(np.linalg.norm(a @ x - b))
+        passive[np.argmax(grad)] = True
+    raise ValueError(f"nnls did not converge in {_NNLS_MAX_ITER} iterations")
 
 
 def candidate_diagonals(fit: DiagonalFit, tol: float = 1e-8):
@@ -338,7 +371,7 @@ def candidate_diagonals(fit: DiagonalFit, tol: float = 1e-8):
                 kvec = np.zeros(15)
                 kvec[j] = max(kappa, 0.0)
                 push(f"single:{j + 1}", -2.0 * b @ kvec)
-        kvec, rnorm = nnls(a, d_active)
+        kvec, rnorm = _nnls(a, d_active)
         if rnorm < tol:
             push("nnls", -2.0 * b @ kvec)
     return out

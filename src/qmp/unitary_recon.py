@@ -13,9 +13,9 @@ become singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .qcore import Trajectory, dag, diff_series, hermiticity_defect, spectrum
 
@@ -151,17 +151,33 @@ class EigenframeResult:
     residual: float
 
 
+# flat indices r * k + perm[r] of the k! label permutations of a k x k matrix
+_PERMUTATION_INDEX = {
+    k: np.array(list(permutations(range(k)))) + k * np.arange(k) for k in range(1, 5)
+}
+
+
+def _best_permutation(score: np.ndarray) -> np.ndarray:
+    """perm maximizing sum_r score[r, perm[r]] for a k x k score, k <= 4,
+    by exhaustive search over the k! label permutations."""
+    flat = _PERMUTATION_INDEX[len(score)]
+    return flat[score.take(flat).sum(axis=1).argmax()] % len(score)
+
+
 def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
     """Label-continuous eigendecomposition of every sample.
 
     Eigenvalue branches are matched to the previous time by maximal
-    eigenvector overlap (optimal assignment); phases are fixed so the
-    diagonal overlaps are real-positive, and degenerate blocks are
-    aligned to the previous frame by orthogonal Procrustes so the frame
-    is parallel-transported through exact degeneracies.
+    total eigenvector overlap, an exhaustive search over the d! label
+    permutations (d <= 4); phases are fixed so the diagonal overlaps are
+    real-positive, and degenerate blocks are aligned to the previous
+    frame by orthogonal Procrustes so the frame is parallel-transported
+    through exact degeneracies.
     """
     n = traj.n
     d = traj.dim
+    if d > 4:
+        raise ValueError(f"eigenframe continuation supports dim <= 4, got dim {d}")
     frames = np.empty((n, d, d), dtype=complex)
     branches = np.empty((n, d))
     ws, vs = spectrum(traj.samples, vectors=True)
@@ -175,17 +191,13 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
         b = list(block)
         if len(b) > 1:
             _, c = np.linalg.eigh(dag(v0[:, b]) @ traj.samples[1] @ v0[:, b])
-            _, col = linear_sum_assignment(-np.abs(c) ** 2)
-            v0[:, b] = v0[:, b] @ c[:, col]
+            v0[:, b] = v0[:, b] @ c[:, _best_permutation(np.abs(c) ** 2)]
     frames[0] = v0
     branches[0] = w0
     for i in range(1, n):
         w, v = ws[i], vs[i]
         prev = frames[i - 1]
-        overlap = np.abs(dag(prev) @ v) ** 2
-        row, col = linear_sum_assignment(-overlap)
-        perm = np.empty(d, dtype=int)
-        perm[row] = col
+        perm = _best_permutation(np.abs(dag(prev) @ v) ** 2)
         v = v[:, perm]
         w = w[perm]
         if require_constant_spectrum:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.transform import Rotation
 
 from qmp.bloch import (
     CoherenceVector,
@@ -85,8 +89,6 @@ class TestCorrelation:
 
 class TestXForm:
     def test_su2_from_so3_covers_rotation(self):
-        from scipy.spatial.transform import Rotation
-
         r = Rotation.random(random_state=7).as_matrix()
         u = su2_from_so3(r)
         np.testing.assert_allclose(u @ dag(u), np.eye(2), atol=1e-12)
@@ -110,6 +112,38 @@ class TestXForm:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho_x), atol=1e-12
         )
+
+
+@settings(deadline=None, max_examples=300)
+@given(q=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)), half_turn=st.booleans())
+@example(q=np.array([1.0, 0.0, 0.0, 0.0]), half_turn=True)
+@example(q=np.array([0.0, 1.0, 0.0, 0.0]), half_turn=True)
+@example(q=np.array([0.0, 0.0, 1.0, 0.0]), half_turn=True)
+@example(q=np.array([1.0, 1.0, 1.0, 0.0]), half_turn=True)
+@example(q=np.array([0.0, 0.0, 0.0, 1.0]), half_turn=False)
+def test_su2_lift_matches_rotation_oracle(q, half_turn):
+    q = q.copy()
+    if half_turn:
+        q[3] = 0.0  # scalar-last quaternion: a rotation by pi
+    assume(np.linalg.norm(q) > 1e-3)
+    r = Rotation.from_quat(q).as_matrix()
+    u = su2_from_so3(r)
+    for k in (1, 2, 3):
+        rhs = sum(r[j - 1, k - 1] * SIGMA[j] for j in (1, 2, 3))
+        np.testing.assert_allclose(u @ SIGMA[k] @ dag(u), rhs, rtol=0, atol=1e-13)
+    assert abs(np.linalg.det(u) - 1.0) <= 1e-13
+    qx, qy, qz, qw = Rotation.from_matrix(r).as_quat()
+    ref = qw * SIGMA[0] - 1j * (qx * SIGMA[1] + qy * SIGMA[2] + qz * SIGMA[3])
+    assert min(np.abs(u - ref).max(), np.abs(u + ref).max()) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "r", [-np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-8]), np.eye(2), np.full((3, 3), np.nan)],
+    ids=["improper", "not-orthogonal", "wrong-shape", "nan"],
+)
+def test_su2_lift_rejects_non_rotation(r):
+    with pytest.raises(ValueError, match="rotation"):
+        su2_from_so3(r)
 
 
 class TestInvariants:

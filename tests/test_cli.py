@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qmp.cli import (
     trajectory_to_dict,
     write_trajectory,
 )
+import qmp
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import Trajectory
 
@@ -200,6 +203,15 @@ class TestReconstructCommands:
         for c in valid:
             assert c["roundtrip_deviation"] < 1e-4, c["label"]
 
+    @pytest.mark.parametrize("mode", ["unitary", "master"])
+    def test_rejects_marginal_file_before_writing(self, tmp_path, capsys, mode):
+        out = tmp_path / "ex1"
+        run("scenario", "example1", "--t-max", 3.1, "--steps", 20, "--out", out)
+        rec = tmp_path / "rec"
+        assert run("reconstruct", mode, out / "marginal_a.json", "--out", rec) == EXIT_INVALID
+        assert "reconstruct expects a dim-4 joint trajectory" in capsys.readouterr().err
+        assert not rec.exists()
+
     def test_master_on_unitary_input_is_trivial(self, tmp_path):
         out = tmp_path / "ex1"
         run("scenario", "example1", "--J", 2, "--t-max", 3.1, "--steps", 200, "--out", out)
@@ -262,3 +274,57 @@ def test_qmp_tol_env_override(tmp_path, monkeypatch):
     assert json.loads(report.read_text())["tol"] == 1e-3
     monkeypatch.setenv("QMP_TOL", "banana")
     assert run("check", out / "joint.json") == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        (["--t-max", 3, "--steps", 0], "--steps"),
+        (["--t-max", 3, "--steps", 1], "--steps"),
+        (["--t-max", "inf", "--steps", 10], "--t-max"),
+        (["--t-max", "nan", "--steps", 10], "--t-max"),
+        (["--t-max", 0, "--steps", 10], "--t-max"),
+        (["--t-max", -1, "--steps", 10], "--t-max"),
+    ],
+    ids=["steps-0", "steps-1", "t-max-inf", "t-max-nan", "t-max-0", "t-max-negative"],
+)
+def test_bad_scenario_arguments_exit_4(tmp_path, capsys, grid, named):
+    out = tmp_path / "ex1"
+    assert run("scenario", "example1", *grid, "--out", out) == EXIT_PARSE
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, env",
+    [
+        ("check", ["--tol", "nan"], None),
+        ("check", ["--tol", "-1"], None),
+        ("check", [], "nan"),
+        ("check", [], "-1"),
+        ("unitary", [], "nan"),
+    ],
+    ids=["tol-nan", "tol-negative", "env-nan", "env-negative", "reconstruct-env-nan"],
+)
+def test_bad_tolerance_exits_4(tmp_path, capsys, monkeypatch, command, option, env):
+    out = tmp_path / "ex1"
+    run("scenario", "example1", "--t-max", 3.1, "--steps", 20, "--out", out)
+    if env is not None:
+        monkeypatch.setenv("QMP_TOL", env)
+    if command == "check":
+        argv = ["check", out / "joint.json", *option, "--out", tmp_path / "r.json"]
+    else:
+        argv = ["reconstruct", "unitary", out / "joint.json", "--out", tmp_path / "rec"]
+    assert run(*argv) == EXIT_PARSE
+    assert ("QMP_TOL" if env is not None else "--tol") in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "rec").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmp.__file__)))
+    code = "import sys, qmp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

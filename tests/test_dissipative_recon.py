@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import nnls
 
 from qmp.bloch import to_coherence, traceless_basis
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import Trajectory, rk4_integrate
 from qmp.unitary_recon import EvolutionSequence, eigenframe_decompose, hamiltonian_from_evolution
 from qmp.dissipative_recon import (
+    _cumulative_trapezoid,
+    _nnls,
     AffineGenerator,
     KossakowskiMatrix,
     anticommutation_table,
@@ -281,6 +285,53 @@ class TestCpChecks:
         assert not rep.passed
         assert rep.worst_index == 3
         assert rep.worst_time == pytest.approx(3 * np.pi / (2 * w), abs=0.05)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    ks=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 15)),
+        elements=st.floats(-1e3, 1e3),
+    ),
+    dt=st.floats(1e-6, 10.0),
+)
+def test_cumulative_trapezoid_is_bit_equal_to_oracle(ks, dt):
+    got = _cumulative_trapezoid(ks, dt)
+    ref = cumulative_trapezoid(ks, dx=dt, axis=0, initial=0)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), shaped_like_fit=st.booleans())
+def test_nnls_matches_oracle_and_kkt(seed, shaped_like_fit):
+    r = np.random.default_rng(seed)
+    if shaped_like_fit:
+        # A = -2 B[active, :], as in candidate_diagonals; half the right
+        # sides are attainable rates of a sparse non-negative K
+        active = np.flatnonzero(r.random(15) < r.uniform(0.05, 1.0))
+        a = -2.0 * anticommutation_table()[np.union1d(active, [r.integers(15)]), :]
+        if r.random() < 0.5:
+            b = a @ (np.abs(r.normal(size=15)) * (r.random(15) < 0.3))
+        else:
+            b = 0.2 * r.normal(size=len(a))
+    else:
+        m, n = r.integers(1, 16, size=2)
+        a = r.normal(size=(m, n))
+        b = r.normal(size=m)
+    x, rnorm = _nnls(a, b)
+    _, rnorm_ref = nnls(a, b)
+    # the rounding scale of a residual a x - b
+    scale = max(1.0, float(np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(x)))
+    assert abs(rnorm - rnorm_ref) <= 1e-12 * scale
+    assert np.all(x >= 0.0)
+    assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), rel=0, abs=1e-14 * scale)
+    # KKT: no descent direction into the bound, zero gradient where x > 0
+    grad = a.T @ (b - a @ x)
+    gtol = 1e-10 * scale * max(1.0, float(np.abs(a).max()))
+    assert np.all(grad <= gtol)
+    assert np.all(np.abs(grad[x > 0.0]) <= gtol)
 
 
 class TestCandidates:

@@ -1,11 +1,18 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import pauli_decompose
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import SIGMA, Trajectory, dag, rk4_integrate
 from qmp.unitary_recon import (
+    _best_permutation,
     EvolutionSequence,
     eigenframe_decompose,
     hamiltonian_from_evolution,
@@ -200,3 +207,28 @@ class TestEigenframe:
         assert worst < 1e-9
         # the frozen-spectrum residual reflects the purity loss instead
         assert frame.residual > 1e-2
+
+
+square_scores = st.integers(1, 4).flatmap(
+    lambda k: arrays(np.float64, (k, k), elements=st.floats(-1.0, 1.0))
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(score=square_scores)
+def test_label_matcher_matches_linear_sum_assignment(score):
+    k = len(score)
+    perm = _best_permutation(score)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    assert sorted(perm.tolist()) == list(range(k))
+    total = score[np.arange(k), perm].sum()
+    assert total == pytest.approx(score[rows, cols].sum(), rel=0, abs=1e-12)
+    totals = sorted(score[np.arange(k), list(p)].sum() for p in permutations(range(k)))
+    if k == 1 or totals[-1] - totals[-2] > 1e-12:
+        np.testing.assert_array_equal(perm, cols)
+
+
+def test_continuation_rejects_dim_above_4():
+    traj = Trajectory(0.0, 0.1, np.array([np.eye(8, dtype=complex) / 8] * 3))
+    with pytest.raises(ValueError, match="dim 8"):
+        eigenframe_decompose(traj)
