@@ -2,18 +2,22 @@
 
 The 16 products G_{ab} = sigma_a (x) sigma_b are indexed k = 4a + b with
 a, b in 0..3; k = 0 is the identity and k = 1..15 are the traceless
-generators. A state expands as
+generators. Every quantity here is a slice of one Pauli table
 
-    rho = (1/4) (I + sum_k r_k G_k),   r_k = Tr(rho G_k),
+    T[a, b] = Tr(rho G_{ab}),   rho = (1/4) sum_ab T[a, b] G_{ab},
 
-and the 15 real numbers r = [x_i, y_j, z_ij] (x_i at k = 4i, y_j at
-k = j, z_ij at k = 4i + j) form the coherence vector.
+with x_i = T[i, 0], y_j = T[0, j] and z_ij = T[i, j] for i, j >= 1.
+The coherence vector r_k = Tr(rho G_k), k = 1..15, is T flattened
+without T_00 (x_i at k = 4i, y_j at k = j, z_ij at k = 4i + j).
+
+Like the qcore primitives, every function takes one 4x4 matrix or a
+(..., 4, 4) stack; a stack gives one result per matrix, and a failed
+check on a stack names the first bad sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +30,6 @@ __all__ = [
     "PauliDecomposition",
     "to_coherence",
     "from_coherence",
-    "coherence_series",
     "correlation_tensor",
     "x_form",
     "bloch_invariants",
@@ -35,87 +38,111 @@ __all__ = [
     "su2_from_so3",
 ]
 
+# G_{ab} = kron(sigma_a, sigma_b) at entry 4a + b; a plain product, as
+# np.kron forms it, so even the signs of the zero entries match kron's
+_BASIS16 = (SIGMA[:, None, :, None, :, None] * SIGMA[None, :, None, :, None, :]).reshape(16, 4, 4)
+_BASIS16.setflags(write=False)
 
-@lru_cache(maxsize=1)
-def _basis16():
-    g = np.empty((16, 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            g[4 * a + b] = np.kron(SIGMA[a], SIGMA[b])
-    g.setflags(write=False)
-    return g
+# masks of the table entries x, y (local terms) and z (correlations)
+_CORRELATION = np.pad(np.ones((3, 3)), (1, 0))
+_LOCAL = 1.0 - _CORRELATION - np.diag([1.0, 0.0, 0.0, 0.0])
+
+# sigma_j sigma_x sigma_k, indexed [j, x, k]: the Pauli sandwich of su2_from_so3
+_SANDWICH = np.einsum("jab,xbc,kcd->jxkad", SIGMA, SIGMA, SIGMA)
 
 
 def pauli_basis() -> np.ndarray:
     """All 16 products, shape (16, 4, 4); entry 0 is the identity."""
-    return _basis16()
+    return _BASIS16
 
 
 def traceless_basis() -> np.ndarray:
     """The 15 traceless products G_1..G_15, shape (15, 4, 4)."""
-    return _basis16()[1:]
+    return _BASIS16[1:]
+
+
+def _table(rho: np.ndarray) -> np.ndarray:
+    """The complex Pauli table T[..., a, b] = Tr(rho G_ab)."""
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    t = np.einsum("kij,...ji->...k", _BASIS16, rho)
+    return t.reshape(t.shape[:-1] + (4, 4))
+
+
+def _expand(t: np.ndarray) -> np.ndarray:
+    """sum_ab t_ab G_ab for (..., 4, 4) coefficients."""
+    return np.tensordot(t.reshape(t.shape[:-2] + (16,)), _BASIS16, axes=1)
+
+
+def _first_bad(bad) -> str:
+    """'' for one matrix; ' at sample i' (flat index) for a stack's first bad one."""
+    return f" at sample {np.flatnonzero(bad)[0]}" if np.ndim(bad) else ""
+
+
+def _off_diagonal(z: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal |z_ij| of each 3x3 matrix."""
+    return np.abs(z * (1.0 - np.eye(3))).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class CoherenceVector:
-    """Bloch coordinates of a two-qubit state: x, y in R^3, z in R^{3x3}."""
+    """Bloch coordinates of a two-qubit state: x, y in R^3, z in R^{3x3}.
+
+    For a stack of n states the shapes are (n, 3), (n, 3) and (n, 3, 3).
+    """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(3))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float).reshape(3, 3))
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    @property
+    def table(self) -> np.ndarray:
+        """The real Pauli table T with T_00 = 1."""
+        t = np.ones(self.z.shape[:-2] + (4, 4))
+        t[..., 1:, 0] = self.x
+        t[..., 0, 1:] = self.y
+        t[..., 1:, 1:] = self.z
+        return t
 
     def as_vector(self) -> np.ndarray:
-        """Flatten to the 15-vector ordered by the index map k = 4a + b."""
-        r = np.empty(15)
-        r[0:3] = self.y
-        for i in range(3):
-            r[4 * (i + 1) - 1] = self.x[i]
-            r[4 * (i + 1) : 4 * (i + 1) + 3] = self.z[i]
-        return r
+        """The 15-vector r_k = T[k // 4, k % 4], k = 1..15, shape (..., 15)."""
+        t = self.table
+        return t.reshape(t.shape[:-2] + (16,))[..., 1:]
 
     @staticmethod
     def from_vector(r) -> "CoherenceVector":
-        r = np.asarray(r, dtype=float).reshape(15)
-        y = r[0:3]
-        x = np.array([r[4 * (i + 1) - 1] for i in range(3)])
-        z = np.array([r[4 * (i + 1) : 4 * (i + 1) + 3] for i in range(3)])
-        return CoherenceVector(x, y, z)
+        r = np.asarray(r, dtype=float)
+        return _from_table(np.insert(r, 0, 1.0, axis=-1).reshape(r.shape[:-1] + (4, 4)))
+
+
+def _from_table(t: np.ndarray) -> CoherenceVector:
+    return CoherenceVector(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
 
 
 def to_coherence(rho: np.ndarray, tol: float = 1e-12) -> CoherenceVector:
-    """Coherence vector of a (Hermitian) 4x4 state."""
+    """Coherence vector of a (Hermitian) 4x4 state or of each of a stack."""
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho, "to_coherence")
-    g = traceless_basis()
-    r = np.einsum("kij,ji->k", g, rho)
-    if np.max(np.abs(r.imag)) > max(tol, 1e-10):
+    t = _table(rho)
+    if np.max(np.abs(t.imag)) > max(tol, 1e-10):
         raise ValueError("coherence coefficients are not real")
-    return CoherenceVector.from_vector(r.real)
+    return _from_table(t.real)
 
 
 def from_coherence(v: CoherenceVector) -> np.ndarray:
-    """Rebuild the 4x4 matrix; Hermitian and unit trace, not necessarily PSD."""
-    g = _basis16()
-    r = v.as_vector()
-    return 0.25 * (g[0] + np.tensordot(r, g[1:], axes=1))
-
-
-def coherence_series(samples: np.ndarray) -> np.ndarray:
-    """Coherence vectors of a stack of states, shape (n, 15)."""
-    g = traceless_basis()
-    r = np.einsum("kij,nji->nk", g, np.asarray(samples, dtype=complex))
-    return r.real
+    """Rebuild the 4x4 matrix (or stack); Hermitian and unit trace, not
+    necessarily PSD."""
+    return 0.25 * _expand(v.table)
 
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """The 3x3 tensor ztilde_ij = z_ij - x_i y_j (vanishes on products)."""
     v = to_coherence(rho)
-    return v.z - np.outer(v.x, v.y)
+    return v.z - v.x[..., :, np.newaxis] * v.y[..., np.newaxis, :]
 
 
 def su2_from_so3(r: np.ndarray) -> np.ndarray:
@@ -124,17 +151,21 @@ def su2_from_so3(r: np.ndarray) -> np.ndarray:
     With R_00 = 1, sum_jk R_jk sigma_j X sigma_k = 2 Tr(u^dag X) u for
     any X; X is the sigma_a with the largest result (Shepperd's branch
     choice, J. Guidance Control 1, 223 (1978)), scaled to det u = 1.
-    R must be a proper rotation within 1e-10; the sign of u is free.
+    R (or each of a stack) must be a proper rotation within 1e-10; the
+    sign of u is free.
     """
     r = np.asarray(r, dtype=float)
-    orthogonal = r.shape == (3, 3) and np.allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-10)
-    if not orthogonal or np.linalg.det(r) < 0:
+    if r.shape[-2:] != (3, 3):
         raise ValueError("su2_from_so3 expects a proper 3x3 rotation matrix")
-    r4 = np.eye(4)
-    r4[1:, 1:] = r
-    m = np.einsum("jk,jab,xbc,kcd->xad", r4, SIGMA, SIGMA, SIGMA)
-    m = m[np.argmax(np.linalg.norm(m, axis=(1, 2)))]
-    return m / np.sqrt(np.linalg.det(m))
+    orthogonal = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1)) <= 1e-10
+    # det only of the orthogonal ones, so that a NaN entry raises no warning
+    bad = ~orthogonal | (np.linalg.det(np.where(orthogonal[..., None, None], r, np.eye(3))) < 0)
+    if np.any(bad):
+        raise ValueError(f"su2_from_so3 expects a proper 3x3 rotation matrix{_first_bad(bad)}")
+    m = _SANDWICH[0, :, 0] + np.einsum("...jk,jxkad->...xad", r, _SANDWICH[1:, :, 1:])
+    best = np.argmax(np.linalg.norm(m, axis=(-2, -1)), axis=-1)
+    m = np.take_along_axis(m, best[..., np.newaxis, np.newaxis, np.newaxis], axis=-3)[..., 0, :, :]
+    return m / np.sqrt(np.linalg.det(m))[..., np.newaxis, np.newaxis]
 
 
 def x_form(rho: np.ndarray, tol: float = 1e-10):
@@ -146,24 +177,20 @@ def x_form(rho: np.ndarray, tol: float = 1e-10):
     proper rotations (the sign flip is absorbed into the smallest
     singular value, keeping the largest positive).
     """
-    zt = correlation_tensor(rho)
-    o1, s, o2t = np.linalg.svd(zt)
-    o2 = o2t.T
-    if np.linalg.det(o1) < 0:
-        o1 = o1.copy()
-        o1[:, 2] *= -1
-    if np.linalg.det(o2) < 0:
-        o2 = o2.copy()
-        o2[:, 2] *= -1
-    # Coherence tensors transform as z -> R_A z R_B^T under uA (x) uB.
-    ua = su2_from_so3(o1.T)
-    ub = su2_from_so3(o2.T)
-    w = np.kron(ua, ub)
+    rho = np.asarray(rho, dtype=complex)
+    o1, _, o2t = np.linalg.svd(correlation_tensor(rho))
+    # Coherence tensors transform as z -> R_A z R_B^T under uA (x) uB,
+    # so R_A = o1^T and R_B = o2t, each with its last row negated if improper.
+    r = np.stack([np.swapaxes(o1, -1, -2), o2t])
+    r[..., 2, :] *= np.sign(np.linalg.det(r))[..., np.newaxis]
+    ua, ub = su2_from_so3(r)
+    w = np.einsum("...ab,...cd->...acbd", ua, ub).reshape(rho.shape)
     rho_x = w @ rho @ dag(w)
-    zt_new = correlation_tensor(rho_x)
-    off = np.max(np.abs(zt_new - np.diag(np.diag(zt_new))))
-    if off > tol:
-        raise RuntimeError(f"x_form failed to diagonalize (residual {off:g})")
+    off = _off_diagonal(correlation_tensor(rho_x))
+    if np.any(off > tol):
+        raise RuntimeError(
+            f"x_form failed to diagonalize (residual {off.max():g}){_first_bad(off > tol)}"
+        )
     return rho_x, ua, ub
 
 
@@ -174,29 +201,23 @@ def bloch_invariants(v: CoherenceVector, tol: float = 1e-10):
     I2 = sum_i x_i y_i z_ii - z_11 z_22 z_33; both are constants of motion
     along unitary trajectories. The expressions assume the correlation
     tensor is diagonal, so non-diagonal input is rejected (bring the
-    state to X form first).
+    state to X form first). A stack gives one (I1, I2) pair of arrays.
     """
-    zt = v.z - np.outer(v.x, v.y)
-    off = np.max(np.abs(zt - np.diag(np.diag(zt))))
-    if off > tol:
+    off = _off_diagonal(v.z - v.x[..., :, np.newaxis] * v.y[..., np.newaxis, :])
+    if np.any(off > tol):
         raise ValueError(
-            f"correlation tensor is not diagonal (off-diagonal {off:g}); "
-            "apply x_form before computing the invariants"
+            f"correlation tensor is not diagonal (off-diagonal {off.max():g})"
+            f"{_first_bad(off > tol)}; apply x_form before computing the invariants"
         )
-    zd = np.diag(v.z)
-    i1 = float(v.x @ v.x + v.y @ v.y + zd @ zd)
-    i2 = float(np.sum(v.x * v.y * zd) - np.prod(zd))
-    return i1, i2
+    zd = np.diagonal(v.z, axis1=-2, axis2=-1)
+    i1 = (v.x * v.x).sum(-1) + (v.y * v.y).sum(-1) + (zd * zd).sum(-1)
+    i2 = (v.x * v.y * zd).sum(-1) - zd.prod(-1)
+    return _per_matrix(i1), _per_matrix(i2)
 
 
 def invariants_series(samples: np.ndarray):
     """Per-sample invariants (I1, I2), computed in the X-form frame."""
-    i1 = np.empty(len(samples))
-    i2 = np.empty(len(samples))
-    for i, rho in enumerate(samples):
-        rho_x, _, _ = x_form(rho)
-        i1[i], i2[i] = bloch_invariants(to_coherence(rho_x))
-    return i1, i2
+    return bloch_invariants(to_coherence(x_form(samples)[0]))
 
 
 @dataclass(frozen=True)
@@ -204,8 +225,8 @@ class PauliDecomposition:
     """Coefficients h_ab with H = sum_ab h_ab G_ab (exact reconstruction).
 
     The stored coefficients carry the Hilbert-Schmidt factor 1/4:
-    h_ab = Tr(H G_ab) / 4. ``h`` has shape (..., 4, 4), one 4x4 block
-    per decomposed operator.
+    h_ab = Tr(H G_ab) / 4, a quarter of the Pauli table. ``h`` has shape
+    (..., 4, 4), one 4x4 block per decomposed operator.
     """
 
     h: np.ndarray
@@ -219,23 +240,13 @@ class PauliDecomposition:
         return _per_matrix(self.h[..., 0, 0])
 
     def local_part(self) -> np.ndarray:
-        h = self.h.copy()
-        h[..., 0, 0] = 0.0
-        h[..., 1:, 1:] = 0.0
-        return _expand(h)
+        return _expand(self.h * _LOCAL)
 
     def interaction_part(self) -> np.ndarray:
-        h = np.zeros_like(self.h)
-        h[..., 1:, 1:] = self.h[..., 1:, 1:]
-        return _expand(h)
+        return _expand(self.h * _CORRELATION)
 
     def reconstruct(self) -> np.ndarray:
         return _expand(self.h)
-
-
-def _expand(h: np.ndarray) -> np.ndarray:
-    """sum_ab h_ab G_ab for (..., 4, 4) coefficients."""
-    return np.tensordot(h.reshape(h.shape[:-2] + (16,)), _basis16(), axes=1)
 
 
 def pauli_decompose(h: np.ndarray) -> PauliDecomposition:
@@ -243,5 +254,4 @@ def pauli_decompose(h: np.ndarray) -> PauliDecomposition:
     Pauli-product basis."""
     h = np.asarray(h, dtype=complex)
     _require_hermitian(h, "pauli_decompose")
-    c = np.einsum("kij,...ji->...k", _basis16(), h) / 4.0
-    return PauliDecomposition(c.real.reshape(c.shape[:-1] + (4, 4)))
+    return PauliDecomposition(_table(h).real / 4.0)

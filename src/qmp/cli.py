@@ -5,7 +5,7 @@ reconstruct Hamiltonians or master equations, and dump measure series:
 
     qmp scenario example1 --J 2 --t-max 3.14159 --steps 200 --out DIR
     qmp check JOINT.json [--tol F]
-    qmp check MARGINAL_A.json MARGINAL_B.json
+    qmp check MARGINAL_A.json MARGINAL_B.json [--tol F]
     qmp reconstruct unitary JOINT.json --out DIR
     qmp reconstruct master JOINT.json --out DIR
     qmp measures JOINT.json --out SERIES.csv
@@ -21,7 +21,9 @@ missing or mistyped field, a sample of the wrong shape, a non-finite
 number, n < 3, dt <= 0), reported with the field or sample index, or a
 bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
 a finite number > 0), reported with the option's name. The env var
-QMP_TOL overrides the default tolerance 1e-10 used by the checks.
+QMP_TOL overrides the default tolerance 1e-10 used by the checks, and
+check's --tol overrides both. The tolerance sets the unitarity verdict
+of a joint file and the "isospectral" verdict of a marginal pair.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def cmd_check(args) -> int:
     pair = kinematics.MarginalPair(
         load_trajectory(args.files[0]), load_trajectory(args.files[1])
     )
-    iso = kinematics.isospectral_test(pair)
+    iso = kinematics.isospectral_test(pair, tol)
     win = kinematics.unitary_window(pair)
     doc = {
         "check": "marginal-pair",

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bloch import coherence_series, pauli_basis, traceless_basis
+from .bloch import pauli_basis, to_coherence, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
@@ -195,7 +195,7 @@ def fit_diagonal_unital(gamma_traj: Trajectory, active_tol: float = 1e-10) -> Di
     least-squares constant rate. The offset l is fixed to zero (unital
     ansatz).
     """
-    r = coherence_series(gamma_traj.samples)
+    r = to_coherence(gamma_traj.samples).as_vector()
     rdot = diff_series(r, gamma_traj.dt)
     amp = np.max(np.abs(r), axis=0)
     active = tuple(int(i) for i in np.flatnonzero(amp > active_tol))
@@ -211,7 +211,7 @@ def fit_diagonal_unital(gamma_traj: Trajectory, active_tol: float = 1e-10) -> Di
 def diagonal_fit_residual(gamma_traj: Trajectory, d_diag) -> float:
     """Worst misfit of a given constant diagonal rate vector."""
     d_diag = np.asarray(d_diag, dtype=float).reshape(15)
-    r = coherence_series(gamma_traj.samples)
+    r = to_coherence(gamma_traj.samples).as_vector()
     rdot = diff_series(r, gamma_traj.dt)
     return float(np.max(np.abs(rdot - d_diag[np.newaxis, :] * r)))
 

@@ -191,13 +191,10 @@ def unitary_window(pair: MarginalPair, basis_tol: float = 1e-8) -> WindowReport:
 # ---------------------------------------------------------------------------
 
 
-def _grid(t0, dt, n):
-    return t0 + dt * np.arange(n)
-
-
 @dataclass(frozen=True)
 class _Scenario:
-    """Samplers for one worked scenario (joint and/or marginal states)."""
+    """Samplers for one worked scenario (joint and/or marginal states);
+    each maps a time, or an array of times of any shape, to one state per time."""
 
     joint_at: Optional[callable]
     rho_a_at: callable
@@ -206,13 +203,12 @@ class _Scenario:
     def joint(self, t0: float, dt: float, n: int) -> Trajectory:
         if self.joint_at is None:
             raise ValueError("this scenario has no joint trajectory")
-        return Trajectory(t0, dt, np.array([self.joint_at(t) for t in _grid(t0, dt, n)]))
+        return Trajectory(t0, dt, self.joint_at(t0 + dt * np.arange(n)))
 
     def marginals(self, t0: float, dt: float, n: int) -> MarginalPair:
-        ts = _grid(t0, dt, n)
+        ts = t0 + dt * np.arange(n)
         return MarginalPair(
-            Trajectory(t0, dt, np.array([self.rho_a_at(t) for t in ts])),
-            Trajectory(t0, dt, np.array([self.rho_b_at(t) for t in ts])),
+            Trajectory(t0, dt, self.rho_a_at(ts)), Trajectory(t0, dt, self.rho_b_at(ts))
         )
 
 
@@ -229,25 +225,22 @@ def scenario_example1(j: float) -> _Scenario:
 
     def joint_at(t):
         c, s = np.cos(j * t), np.sin(j * t)
-        return np.array(
-            [
-                [0.25, 0, 0, 0],
-                [0, (4 + c) / 16, -1j * s / 16, 0],
-                [0, 1j * s / 16, (4 - c) / 16, 0],
-                [0, 0, 0, 0.25],
-            ],
-            dtype=complex,
-        )
+        rho = np.zeros(np.shape(t) + (4, 4), dtype=complex)
+        rho[..., 0, 0] = rho[..., 3, 3] = 0.25
+        rho[..., 1, 1] = (4 + c) / 16
+        rho[..., 2, 2] = (4 - c) / 16
+        rho[..., 1, 2] = -1j * s / 16
+        rho[..., 2, 1] = 1j * s / 16
+        return rho
 
-    def rho_a_at(t):
-        c = np.cos(j * t)
-        return np.diag([(8 + c) / 16, (8 - c) / 16]).astype(complex)
+    def marginal_at(t, sign):
+        c = sign * np.cos(j * t)
+        rho = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        rho[..., 0, 0] = (8 + c) / 16
+        rho[..., 1, 1] = (8 - c) / 16
+        return rho
 
-    def rho_b_at(t):
-        c = np.cos(j * t)
-        return np.diag([(8 - c) / 16, (8 + c) / 16]).astype(complex)
-
-    return _Scenario(joint_at, rho_a_at, rho_b_at)
+    return _Scenario(joint_at, lambda t: marginal_at(t, 1), lambda t: marginal_at(t, -1))
 
 
 def scenario_example2(omega: float) -> _Scenario:
@@ -260,15 +253,13 @@ def scenario_example2(omega: float) -> _Scenario:
     if not omega > 0:
         raise ValueError("omega must be positive")
 
-    def rho_a_at(t):
-        c = np.cos(2 * omega * t)
-        return 0.5 * np.array([[1, c], [c, 1]], dtype=complex)
+    def marginal_at(t, f):
+        rho = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        rho[..., 0, 0] = rho[..., 1, 1] = 0.5
+        rho[..., 0, 1] = rho[..., 1, 0] = 0.5 * f(2 * omega * t)
+        return rho
 
-    def rho_b_at(t):
-        s = np.sin(2 * omega * t)
-        return 0.5 * np.array([[1, s], [s, 1]], dtype=complex)
-
-    return _Scenario(None, rho_a_at, rho_b_at)
+    return _Scenario(None, lambda t: marginal_at(t, np.cos), lambda t: marginal_at(t, np.sin))
 
 
 def scenario_example3(j: float, gamma: float) -> _Scenario:
@@ -289,20 +280,16 @@ def scenario_example3(j: float, gamma: float) -> _Scenario:
         bp, bm = 1 + e, 1 - e
         c, s = np.cos(3 * j * t / 4), np.sin(3 * j * t / 4)
         big_s = np.sin(3 * j * t / 2)
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 0.5 * bp * c * c
-        rho[2, 2] = 0.5 * bm
-        rho[3, 3] = 0.5 * bp * s * s
-        rho[0, 3] = 0.25j * bp * big_s
-        rho[3, 0] = -0.25j * bp * big_s
+        rho = np.zeros(np.shape(t) + (4, 4), dtype=complex)
+        rho[..., 0, 0] = 0.5 * bp * c * c
+        rho[..., 2, 2] = 0.5 * bm
+        rho[..., 3, 3] = 0.5 * bp * s * s
+        rho[..., 0, 3] = 0.25j * bp * big_s
+        rho[..., 3, 0] = -0.25j * bp * big_s
         return rho
 
-    def rho_a_at(t):
-        rho = joint_at(t)
-        return partial_trace(rho, "B")
-
-    def rho_b_at(t):
-        rho = joint_at(t)
-        return partial_trace(rho, "A")
-
-    return _Scenario(joint_at, rho_a_at, rho_b_at)
+    return _Scenario(
+        joint_at,
+        lambda t: partial_trace(joint_at(t), "B"),
+        lambda t: partial_trace(joint_at(t), "A"),
+    )

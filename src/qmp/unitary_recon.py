@@ -164,7 +164,7 @@ def _best_permutation(score: np.ndarray) -> np.ndarray:
     return flat[score.take(flat).sum(axis=1).argmax()] % len(score)
 
 
-def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
+def _continue_frames(traj: Trajectory):
     """Label-continuous eigendecomposition of every sample.
 
     Eigenvalue branches are matched to the previous time by maximal
@@ -172,7 +172,8 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
     permutations (d <= 4); phases are fixed so the diagonal overlaps are
     real-positive, and degenerate blocks are aligned to the previous
     frame by orthogonal Procrustes so the frame is parallel-transported
-    through exact degeneracies.
+    through exact degeneracies. Returns the frames V(t), shape (n, d, d),
+    and the labeled eigenvalue branches, shape (n, d).
     """
     n = traj.n
     d = traj.dim
@@ -200,13 +201,6 @@ def _continue_frames(traj: Trajectory, require_constant_spectrum: bool):
         perm = _best_permutation(np.abs(dag(prev) @ v) ** 2)
         v = v[:, perm]
         w = w[perm]
-        if require_constant_spectrum:
-            drift = np.max(np.abs(w - branches[0]))
-            if drift > SPECTRUM_DRIFT_TOL:
-                raise ValueError(
-                    f"spectrum drift {drift:g} at sample {i}: "
-                    "not a unitary trajectory"
-                )
         for block in _degenerate_blocks(w):
             b = list(block)
             if len(b) == 1:
@@ -238,19 +232,26 @@ def _degenerate_blocks(w: np.ndarray, tol: float = DEGENERACY_TOL):
     return blocks
 
 
+def _frame_unitaries(frames: np.ndarray) -> np.ndarray:
+    """U(t) = V(t) V(t0)^dag for every frame of the continuation."""
+    return np.einsum("nij,jk->nik", frames, dag(frames[0]))
+
+
 def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
     """Unitaries U(t) with U(t0) = I and U(t) rho(t0) U(t)^dag = rho(t).
 
-    The trajectory must have a constant spectrum (drift above 1e-8
-    aborts). The output is unique up to right-multiplication by unitaries
-    commuting with rho(t0); the continuation gauge picks the smooth
-    representative.
+    The trajectory must have a constant spectrum: a branch drift above
+    1e-8 aborts, naming the first sample that drifts. The output is
+    unique up to right-multiplication by unitaries commuting with
+    rho(t0); the continuation gauge picks the smooth representative.
     """
-    frames, _ = _continue_frames(traj, require_constant_spectrum=True)
-    v0_inv = dag(frames[0])
-    u = np.einsum("nij,jk->nik", frames, v0_inv)
+    frames, branches = _continue_frames(traj)
+    drift = np.max(np.abs(branches - branches[0]), axis=1)
+    i = int(np.argmax(drift > SPECTRUM_DRIFT_TOL))
+    if drift[i] > SPECTRUM_DRIFT_TOL:
+        raise ValueError(f"spectrum drift {drift[i]:g} at sample {i}: not a unitary trajectory")
     gamma = spectrum(traj.samples[0])[::-1]
-    return EvolutionSequence(traj.t0, traj.dt, u, gamma)
+    return EvolutionSequence(traj.t0, traj.dt, _frame_unitaries(frames), gamma)
 
 
 def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
@@ -260,9 +261,8 @@ def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
     eigenvalue branches W(t) are returned as a diagonal trajectory in
     the continuation's label order, alongside U(t) = V(t) V(t0)^dag.
     """
-    frames, branches = _continue_frames(traj, require_constant_spectrum=False)
-    v0_inv = dag(frames[0])
-    u = np.einsum("nij,jk->nik", frames, v0_inv)
+    frames, branches = _continue_frames(traj)
+    u = _frame_unitaries(frames)
     gamma = np.zeros_like(traj.samples)
     idx = np.arange(traj.dim)
     gamma[:, idx, idx] = branches

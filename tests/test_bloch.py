@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 from qmp.bloch import (
     CoherenceVector,
     bloch_invariants,
-    coherence_series,
     correlation_tensor,
     from_coherence,
     invariants_series,
@@ -63,7 +62,7 @@ class TestCoherence:
 
     def test_series_matches_single(self):
         samples = np.array([random_state(rng) for _ in range(5)])
-        series = coherence_series(samples)
+        series = to_coherence(samples).as_vector()
         for i, s in enumerate(samples):
             np.testing.assert_allclose(series[i], to_coherence(s).as_vector(), atol=1e-13)
 
@@ -144,6 +143,61 @@ def test_su2_lift_matches_rotation_oracle(q, half_turn):
 def test_su2_lift_rejects_non_rotation(r):
     with pytest.raises(ValueError, match="rotation"):
         su2_from_so3(r)
+
+
+state_factors = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.just(2), st.just(4), st.just(4)),
+    elements=st.floats(-1.0, 1.0),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=state_factors)
+def test_stack_matches_per_matrix_calls(a):
+    z = a[:, 0] + 1j * a[:, 1]
+    rho = z @ np.conj(np.swapaxes(z, 1, 2))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    assume(np.all(tr > 1e-3))
+    rho = rho / tr[:, None, None]
+    q = a[:, 0, 0]
+    assume(np.all(np.linalg.norm(q, axis=1) > 1e-3))
+    rot = Rotation.from_quat(q).as_matrix()
+
+    vec = to_coherence(rho).as_vector()
+    zt = correlation_tensor(rho)
+    rho_x, ua, ub = x_form(rho)
+    lift = su2_from_so3(rot)
+    i1, i2 = bloch_invariants(to_coherence(rho_x))
+    for i, r in enumerate(rho):
+        np.testing.assert_allclose(vec[i], to_coherence(r).as_vector(), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(zt[i], correlation_tensor(r), rtol=0, atol=1e-13)
+        for stacked, single in zip((rho_x, ua, ub), x_form(r)):
+            np.testing.assert_allclose(stacked[i], single, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(lift[i], su2_from_so3(rot[i]), rtol=0, atol=1e-13)
+        one = bloch_invariants(to_coherence(rho_x[i]))
+        assert abs(i1[i] - one[0]) <= 1e-13 and abs(i2[i] - one[1]) <= 1e-13
+
+    # one matrix in: the types callers had before stacks
+    v = to_coherence(rho[0])
+    assert v.x.shape == v.y.shape == (3,) and v.z.shape == (3, 3)
+    assert v.as_vector().shape == (15,) and correlation_tensor(rho[0]).shape == (3, 3)
+    assert [m.shape for m in x_form(rho[0])] == [(4, 4), (2, 2), (2, 2)]
+    assert su2_from_so3(rot[0]).shape == (2, 2)
+    assert all(type(i) is float for i in bloch_invariants(to_coherence(rho_x[0])))
+
+
+def test_stack_checks_name_the_first_bad_sample():
+    rot = np.array([np.eye(3)] * 4)
+    rot[2] = -np.eye(3)
+    with pytest.raises(ValueError, match="rotation matrix at sample 2"):
+        su2_from_so3(rot)
+    states = scenario_example1(2.0).joint(0.0, 0.3, 3).samples
+    diagonal = x_form(states)[0]
+    with pytest.raises(ValueError, match="at sample 1; apply x_form"):
+        bloch_invariants(to_coherence(np.stack([diagonal[0], states[1], states[2]])))
+    with pytest.raises(RuntimeError, match="at sample 0"):
+        x_form(states, tol=-1.0)
 
 
 class TestInvariants:

@@ -132,6 +132,19 @@ class TestCheckCommand:
         assert doc["window"]["c_lo"] == pytest.approx(0.7071068, abs=1e-6)
         assert doc["window"]["c_hi"] == pytest.approx(0.2928932, abs=1e-6)
 
+    def test_marginal_pair_tol_sets_isospectral_verdict(self, tmp_path):
+        out = tmp_path / "ex2"
+        run("scenario", "example2", "--omega", 1, "--t-max", 3.141592653589793, "--steps", 200, "--out", out)
+        pair = [out / "marginal_a.json", out / "marginal_b.json"]
+        docs = {}
+        for label, option in (("default", []), ("0.6", ["--tol", "0.6"])):
+            report = tmp_path / f"{label}.json"
+            assert run("check", *pair, *option, "--out", report) == EXIT_OK
+            docs[label] = json.loads(report.read_text())
+        assert docs["default"]["max_spectral_distance"] == pytest.approx(0.5, abs=1e-6)
+        assert docs["default"]["tol"] == 1e-10 and not docs["default"]["isospectral"]
+        assert docs["0.6"]["tol"] == 0.6 and docs["0.6"]["isospectral"]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qmp.bloch import correlation_tensor
 from qmp.kinematics import (
@@ -12,7 +15,7 @@ from qmp.kinematics import (
     unitarity_test,
     unitary_window,
 )
-from qmp.qcore import Trajectory, partial_trace
+from qmp.qcore import SIGMA, Trajectory, partial_trace
 
 from _oracles import random_state
 
@@ -141,3 +144,48 @@ class TestScenarios:
         b = Trajectory(0.0, 0.2, np.array([np.eye(2) / 2] * 5, dtype=complex))
         with pytest.raises(ValueError):
             MarginalPair(a, b)
+
+
+grids = st.tuples(
+    st.floats(0.0, 5.0), st.floats(1e-3, 0.2), st.integers(3, 30)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    j=st.floats(0.1, 4.0),
+    gamma=st.floats(0.0, 1.0),
+    omega=st.floats(0.1, 3.0),
+    grid=grids,
+)
+def test_grid_sampling_equals_scalar_calls(j, gamma, omega, grid):
+    t0, dt, n = grid
+    ts = t0 + dt * np.arange(n)
+    for sc in (scenario_example1(j), scenario_example2(omega), scenario_example3(j, gamma)):
+        pair = sc.marginals(t0, dt, n)
+        for stack, at in ((pair.rho_a.samples, sc.rho_a_at), (pair.rho_b.samples, sc.rho_b_at)):
+            assert stack.tobytes() == np.array([at(t) for t in ts]).tobytes()
+        if sc.joint_at is not None:
+            joint = sc.joint(t0, dt, n).samples
+            assert joint.tobytes() == np.array([sc.joint_at(t) for t in ts]).tobytes()
+            assert sc.joint_at(t0).shape == (4, 4)
+        assert sc.rho_a_at(t0).shape == (2, 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(j=st.floats(0.1, 4.0), gamma=st.floats(0.0, 1.0), grid=grids)
+def test_joints_are_their_docstring_physics(j, gamma, grid):
+    # example3: U_t Gamma(t) U_t^dag, U_t = exp(-i t (3J/8)(s1 s1 - s2 s2));
+    # example1: diag(1/4, 5/16, 3/16, 1/4) evolved by -(J/4)(s1 s1 + s2 s2)
+    t0, dt, n = grid
+    s11, s22 = np.kron(SIGMA[1], SIGMA[1]), np.kron(SIGMA[2], SIGMA[2])
+    ex1 = scenario_example1(j).joint(t0, dt, n).samples
+    ex3 = scenario_example3(j, gamma).joint(t0, dt, n).samples
+    for t, rho1, rho3 in zip(t0 + dt * np.arange(n), ex1, ex3):
+        u = expm(1j * t * (j / 4) * (s11 + s22))
+        rho0 = np.diag([1 / 4, 5 / 16, 3 / 16, 1 / 4])
+        np.testing.assert_allclose(rho1, u @ rho0 @ u.conj().T, rtol=0, atol=1e-13)
+        e = np.exp(-gamma * t)
+        big_gamma = np.diag([(1 + e) / 2, 0, (1 - e) / 2, 0])
+        u = expm(-1j * t * (3 * j / 8) * (s11 - s22))
+        np.testing.assert_allclose(rho3, u @ big_gamma @ u.conj().T, rtol=0, atol=1e-13)

@@ -109,8 +109,13 @@ class TestReconstructEvolution:
 
     def test_aborts_on_spectrum_drift(self):
         traj = scenario_example3(2.0, 0.2).joint(0.0, 0.01, 50)
-        with pytest.raises(ValueError, match="drift"):
+        with pytest.raises(ValueError, match="drift .* at sample 1:"):
             reconstruct_evolution(traj)
+        # unitary up to sample 11, then partly depolarized: the error names 12
+        samples = scenario_example1(2.0).joint(0.0, 0.01, 30).samples.copy()
+        samples[12:] = 0.9 * samples[12:] + 0.025 * np.eye(4)
+        with pytest.raises(ValueError, match="drift .* at sample 12:"):
+            reconstruct_evolution(Trajectory(0.0, 0.01, samples))
 
     def test_sequence_invariants(self):
         traj = scenario_example1(2.0).joint(0.0, 0.01, 100)
