@@ -47,6 +47,9 @@ _BASIS16.setflags(write=False)
 _CORRELATION = np.pad(np.ones((3, 3)), (1, 0))
 _LOCAL = 1.0 - _CORRELATION - np.diag([1.0, 0.0, 0.0, 0.0])
 
+# largest imaginary part to_coherence accepts in a Pauli coefficient
+_REAL_TOL = 1e-10
+
 # sigma_j sigma_x sigma_k, indexed [j, x, k]: the Pauli sandwich of su2_from_so3
 _SANDWICH = np.einsum("jab,xbc,kcd->jxkad", SIGMA, SIGMA, SIGMA)
 
@@ -123,12 +126,12 @@ def _from_table(t: np.ndarray) -> CoherenceVector:
     return CoherenceVector(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
 
 
-def to_coherence(rho: np.ndarray, tol: float = 1e-12) -> CoherenceVector:
+def to_coherence(rho: np.ndarray) -> CoherenceVector:
     """Coherence vector of a (Hermitian) 4x4 state or of each of a stack."""
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho, "to_coherence")
     t = _table(rho)
-    if np.max(np.abs(t.imag)) > max(tol, 1e-10):
+    if np.max(np.abs(t.imag)) > _REAL_TOL:
         raise ValueError("coherence coefficients are not real")
     return _from_table(t.real)
 

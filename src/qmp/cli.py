@@ -23,7 +23,8 @@ bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
 a finite number > 0), reported with the option's name. The env var
 QMP_TOL overrides the default tolerance 1e-10 used by the checks, and
 check's --tol overrides both. The tolerance sets the unitarity verdict
-of a joint file and the "isospectral" verdict of a marginal pair.
+of a joint file (the drift of Tr rho^k for k = 2..4) and the
+"isospectral" verdict of a marginal pair.
 """
 
 from __future__ import annotations

@@ -106,13 +106,17 @@ def assemble_joint(rho_a, rho_b, ztilde) -> Optional[np.ndarray]:
     return cand
 
 
-def unitarity_test(traj: Trajectory, tol: float = 1e-10, ks=(2, 3)) -> UnitarityReport:
-    """Constancy of the trace powers Tr rho^k along the trajectory.
+def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
+    """Constancy of the trace powers Tr rho^k, k = 2..dim, along the trajectory.
 
-    A trajectory evolves unitarily iff every trace power is constant, so
-    the max drift relative to the first sample decides the verdict.
+    A trajectory evolves unitarily iff its spectrum is constant. By
+    Newton's identities the powers k = 1..dim fix the spectrum, so the
+    max drift of k = 2..dim relative to the first sample decides the
+    verdict. Supports dim <= 4.
     """
-    powers = {k: trace_power(traj.samples, k) for k in ks}
+    if traj.dim > 4:
+        raise ValueError(f"unitarity test supports dim <= 4, got dim {traj.dim}")
+    powers = {k: trace_power(traj.samples, k) for k in range(2, traj.dim + 1)}
     drift = {k: float(np.max(np.abs(p - p[0]))) for k, p in powers.items()}
     return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
 

@@ -4,10 +4,11 @@ Given samples of rho(t) with a constant spectrum, build a smooth family
 of unitaries U(t) with U(t0) = I and U(t) rho(t0) U(t)^dag = rho(t), and
 recover the generating Hamiltonian H(t) = i (dU/dt) U^dag. The route is
 eigenframe continuation: per-time eigendecompositions are glued together
-by overlap matching, phase fixing, and Procrustes alignment inside
-degenerate eigenvalue blocks, which stays smooth where coordinate charts
-(e.g. the Iwasawa/Gauss parametrization, provided here for validation)
-become singular.
+by overlap matching and one alignment rule, the polar factor of the
+overlap restricted to each degenerate eigenvalue block (a single
+eigenvector is a 1x1 block, whose polar factor is its phase fix). That
+stays smooth where coordinate charts (e.g. the Iwasawa/Gauss
+parametrization, provided here for validation) become singular.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class OrbitSpec:
 
 def orbit_rep(rho: np.ndarray, tol: float = DEGENERACY_TOL) -> OrbitSpec:
     """Descending spectrum and degeneracy structure of a state."""
-    w = spectrum(np.asarray(rho, dtype=complex))[::-1]
-    return OrbitSpec(w, tuple(_degenerate_blocks(w, tol)))
+    w = spectrum(np.asarray(rho, dtype=complex))
+    ids = _block_ids(w, tol)[::-1]  # descending order, so the ids count down
+    blocks = (tuple(np.flatnonzero(ids == k).tolist()) for k in range(ids[0], -1, -1))
+    return OrbitSpec(w[::-1], tuple(blocks))
 
 
 def iwasawa_decompose(z: np.ndarray, tol: float = 1e-10):
@@ -164,15 +167,26 @@ def _best_permutation(score: np.ndarray) -> np.ndarray:
     return flat[score.take(flat).sum(axis=1).argmax()] % len(score)
 
 
+def _block_ids(ws: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Degeneracy block of every eigenvalue of ascending spectra, shape
+    (..., d): ids count up from 0, a new block starting at each gap above tol."""
+    ids = np.zeros(ws.shape, dtype=int)
+    np.cumsum(np.diff(ws, axis=-1) > tol, axis=-1, out=ids[..., 1:])
+    return ids
+
+
 def _continue_frames(traj: Trajectory):
     """Label-continuous eigendecomposition of every sample.
 
-    Eigenvalue branches are matched to the previous time by maximal
-    total eigenvector overlap, an exhaustive search over the d! label
-    permutations (d <= 4); phases are fixed so the diagonal overlaps are
-    real-positive, and degenerate blocks are aligned to the previous
-    frame by orthogonal Procrustes so the frame is parallel-transported
-    through exact degeneracies. Returns the frames V(t), shape (n, d, d),
+    Each step matches the eigenvalue branches to the previous frame by
+    maximal total eigenvector overlap, an exhaustive search over the d!
+    label permutations (d <= 4), and then aligns the relabeled
+    eigenvectors V to the previous frame F by one rule: V is multiplied
+    by the polar factor of V^dag F with the entries between different
+    degenerate blocks masked out. For a single eigenvector that is the
+    phase making its overlap real-positive; for a degenerate block it is
+    the orthogonal Procrustes rotation, which parallel-transports the
+    frame through exact degeneracies. Returns the frames, shape (n, d, d),
     and the labeled eigenvalue branches, shape (n, d).
     """
     n = traj.n
@@ -182,54 +196,31 @@ def _continue_frames(traj: Trajectory):
     frames = np.empty((n, d, d), dtype=complex)
     branches = np.empty((n, d))
     ws, vs = spectrum(traj.samples, vectors=True)
+    ids = _block_ids(ws)
     order = np.argsort(-ws[0], kind="stable")
     v0 = vs[0][:, order]
-    w0 = ws[0][order]
+    ids0 = ids[0][order]
     # Inside a degenerate block of rho(t0) eigh's basis is arbitrary; take
     # the one diagonalizing rho(t1) there (columns nearest eigh's order),
     # so the frame does not jump when the block splits.
-    for block in _degenerate_blocks(w0):
-        b = list(block)
+    for k in range(ids[0, -1] + 1):
+        b = np.flatnonzero(ids0 == k)
         if len(b) > 1:
             _, c = np.linalg.eigh(dag(v0[:, b]) @ traj.samples[1] @ v0[:, b])
             v0[:, b] = v0[:, b] @ c[:, _best_permutation(np.abs(c) ** 2)]
     frames[0] = v0
-    branches[0] = w0
+    branches[0] = ws[0][order]
     for i in range(1, n):
-        w, v = ws[i], vs[i]
-        prev = frames[i - 1]
-        perm = _best_permutation(np.abs(dag(prev) @ v) ** 2)
-        v = v[:, perm]
-        w = w[perm]
-        for block in _degenerate_blocks(w):
-            b = list(block)
-            if len(b) == 1:
-                j = b[0]
-                ph = prev[:, j].conj() @ v[:, j]
-                if abs(ph) > 1e-12:
-                    v[:, j] *= ph.conj() / abs(ph)
-            else:
-                m = dag(v[:, b]) @ prev[:, b]
-                aa, _, bb = np.linalg.svd(m)
-                v[:, b] = v[:, b] @ (aa @ bb)
-        frames[i] = v
-        branches[i] = w
+        overlap = dag(vs[i]) @ frames[i - 1]
+        perm = _best_permutation(np.abs(overlap.T) ** 2)
+        block = ids[i][perm]
+        # overlap[perm] is (V P)^dag F; keep the entries whose labels share a
+        # block, in it and in its polar factor, where the SVD leaks rounding
+        same = block[:, None] == block
+        aa, _, bb = np.linalg.svd(overlap[perm] * same)
+        frames[i] = vs[i][:, perm] @ ((aa @ bb) * same)
+        branches[i] = ws[i][perm]
     return frames, branches
-
-
-def _degenerate_blocks(w: np.ndarray, tol: float = DEGENERACY_TOL):
-    """Index groups of (nearly) equal values in an unsorted label order."""
-    order = np.argsort(-w, kind="stable").tolist()
-    blocks = []
-    current = [order[0]]
-    for a, b in zip(order[:-1], order[1:]):
-        if abs(w[a] - w[b]) <= tol:
-            current.append(b)
-        else:
-            blocks.append(tuple(current))
-            current = [b]
-    blocks.append(tuple(current))
-    return blocks
 
 
 def _frame_unitaries(frames: np.ndarray) -> np.ndarray:

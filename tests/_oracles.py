@@ -3,12 +3,15 @@
 These deliberately take different routes than the production code
 (per-term application and term-by-term kron sums instead of one einsum
 over the Kossakowski matrix, eigenvalue tests instead of Cholesky
-pivots, one RK4 loop per state instead of one over a stack) so that
-agreement between the two is meaningful. Nothing here imports
-qmp.dissipative_recon or qmp.qcore.rk4_integrate.
+pivots, one RK4 loop per state instead of one over a stack, a phase
+fix per eigenvector and an SVD per degenerate block instead of one
+masked polar factor per step) so that agreement between the two is
+meaningful. Nothing here imports qmp.dissipative_recon,
+qmp.unitary_recon or qmp.qcore.rk4_integrate.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import traceless_basis
 
@@ -91,3 +94,60 @@ def rk4_per_state(generator, rho0, t0, dt, n_steps):
     trace = np.array([np.trace(s) for s in out])
     herm = np.array([np.max(np.abs(s - s.conj().T)) for s in out])
     return out, np.abs(trace - trace[0]), herm
+
+
+def _descending_blocks(w, tol):
+    """Index groups of (nearly) equal values of w, walking w in descending order."""
+    order = np.argsort(-w, kind="stable").tolist()
+    blocks = [[order[0]]]
+    for a, b in zip(order[:-1], order[1:]):
+        if abs(w[a] - w[b]) <= tol:
+            blocks[-1].append(b)
+        else:
+            blocks.append([b])
+    return blocks
+
+
+def continue_frames_per_block(samples, tol=1e-9):
+    """Eigenframe continuation of an (n, d, d) stack, one block at a time.
+
+    Every sample is diagonalized by np.linalg.eigh; its labels follow the
+    previous frame by linear_sum_assignment on the squared overlaps. Each
+    single eigenvector then gets the phase that makes its overlap with
+    the previous frame real-positive, and each degenerate block the SVD
+    Procrustes rotation onto the previous frame's block. At t0 the
+    eigenvectors are in descending eigenvalue order, and a degenerate
+    block takes the basis diagonalizing the second sample there. Returns
+    the frames (n, d, d) and the labeled branches (n, d).
+    """
+    ws, vs = np.linalg.eigh(samples)
+    n, d = ws.shape
+    frames = np.empty((n, d, d), dtype=complex)
+    branches = np.empty((n, d))
+    order = np.argsort(-ws[0], kind="stable")
+    v0 = vs[0][:, order]
+    w0 = ws[0][order]
+    for b in _descending_blocks(w0, tol):
+        if len(b) > 1:
+            _, c = np.linalg.eigh(v0[:, b].conj().T @ samples[1] @ v0[:, b])
+            _, cols = linear_sum_assignment(np.abs(c) ** 2, maximize=True)
+            v0[:, b] = v0[:, b] @ c[:, cols]
+    frames[0] = v0
+    branches[0] = w0
+    for i in range(1, n):
+        prev = frames[i - 1]
+        _, perm = linear_sum_assignment(np.abs(prev.conj().T @ vs[i]) ** 2, maximize=True)
+        v = vs[i][:, perm]
+        w = ws[i][perm]
+        for b in _descending_blocks(w, tol):
+            if len(b) == 1:
+                j = b[0]
+                ph = prev[:, j].conj() @ v[:, j]
+                if abs(ph) > 1e-12:
+                    v[:, j] *= ph.conj() / abs(ph)
+            else:
+                left, _, right = np.linalg.svd(v[:, b].conj().T @ prev[:, b])
+                v[:, b] = v[:, b] @ (left @ right)
+        frames[i] = v
+        branches[i] = w
+    return frames, branches

@@ -19,7 +19,7 @@ from qmp.cli import (
     write_trajectory,
 )
 import qmp
-from qmp.kinematics import scenario_example1, scenario_example3
+from qmp.kinematics import scenario_example1, scenario_example3, unitarity_test
 from qmp.qcore import Trajectory
 
 
@@ -149,6 +149,29 @@ class TestCheckCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("check", bad) == EXIT_PARSE
+
+
+def test_isotrace_probe_is_not_unitary(tmp_path):
+    # the spectrum moves along the curve where Tr rho, Tr rho^2 and Tr rho^3
+    # stay fixed (only det rho = e4 changes), so only Tr rho^4 drifts
+    coeffs = np.poly([0.4, 0.3, 0.2, 0.1])
+    e4 = coeffs[4] + np.linspace(0.0, 2.75e-5, 201)
+    lam = np.array([np.sort(np.roots(np.r_[coeffs[:4], e]).real) for e in e4])
+    assert np.ptp(lam, axis=0).max() > 0.01
+    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 8)).view(complex))
+    traj = Trajectory(0.0, 0.01, (q * lam[:, None, :]) @ q.conj().T)
+    rep = unitarity_test(traj)
+    assert max(rep.drift[2], rep.drift[3]) < 1e-12 and rep.drift[4] > 1e-4
+    assert not rep.passed
+    path = tmp_path / "probe.json"
+    write_trajectory(str(path), traj)
+    assert run("check", path, "--out", tmp_path / "check.json") == EXIT_OK
+    doc = json.loads((tmp_path / "check.json").read_text())
+    assert doc["verdict"] == "FAIL" and set(doc["drift"]) == {"2", "3", "4"}
+    run("reconstruct", "master", path, "--out", tmp_path / "m")
+    report = json.loads((tmp_path / "m" / "report.json").read_text())
+    assert report["unitary"] is False
+    assert "unitary" not in [c["label"] for c in report["candidates"]]
 
 
 class TestReconstructCommands:

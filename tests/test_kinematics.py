@@ -54,6 +54,14 @@ class TestUnitarityTest:
         assert not rep.passed
         assert rep.drift[2] > 0.1
 
+    def test_powers_run_to_the_dimension(self):
+        ex1 = scenario_example1(2.0)
+        assert sorted(unitarity_test(ex1.marginals(0.0, 0.05, 10).rho_a).drift) == [2]
+        assert sorted(unitarity_test(ex1.joint(0.0, 0.05, 10)).drift) == [2, 3, 4]
+        big = Trajectory(0.0, 0.1, np.array([np.eye(8, dtype=complex) / 8] * 3))
+        with pytest.raises(ValueError, match="dim 8"):
+            unitarity_test(big)
+
 
 class TestIsospectral:
     def test_marginals_of_oscillating_state(self):

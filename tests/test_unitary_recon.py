@@ -21,7 +21,7 @@ from qmp.unitary_recon import (
     reconstruct_evolution,
 )
 
-from _oracles import random_hermitian, random_state
+from _oracles import continue_frames_per_block, random_hermitian, random_state
 
 rng = np.random.default_rng(314)
 
@@ -213,6 +213,16 @@ class TestEigenframe:
         # the frozen-spectrum residual reflects the purity loss instead
         assert frame.residual > 1e-2
 
+    def test_decoupled_eigenvector_stays_exactly_decoupled(self):
+        # |10> (index 2) is an eigenvector of every example3 sample, alone
+        # in its block; the alignment of the other blocks must not leak
+        # rounding into it, so U(t) keeps its row and column exactly
+        traj = scenario_example3(2.0, 0.2).joint(0.0, 1e-3, 2001)
+        u = eigenframe_decompose(traj).useq.u
+        rest = [0, 1, 3]
+        assert np.count_nonzero(u[:, 2, rest]) == 0
+        assert np.count_nonzero(u[:, rest, 2]) == 0
+
 
 square_scores = st.integers(1, 4).flatmap(
     lambda k: arrays(np.float64, (k, k), elements=st.floats(-1.0, 1.0))
@@ -237,3 +247,56 @@ def test_continuation_rejects_dim_above_4():
     traj = Trajectory(0.0, 0.1, np.array([np.eye(8, dtype=complex) / 8] * 3))
     with pytest.raises(ValueError, match="dim 8"):
         eigenframe_decompose(traj)
+
+
+# rho0 spectra: nondegenerate, two pairs, a triple, and pure (a triple at 0)
+RHO0_SPECTRA = {
+    "nondegenerate": [0.4, 0.3, 0.2, 0.1],
+    "2+2": [0.35, 0.35, 0.15, 0.15],
+    "3+1": [0.1, 0.3, 0.3, 0.3],
+    "pure": [0.0, 1.0, 0.0, 0.0],
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(RHO0_SPECTRA) + ["crossing"]),
+    slope=st.floats(0.1, 0.35),
+    cross=st.sampled_from([0, 20]),
+)
+def test_continuation_matches_per_block_oracle(seed, kind, slope, cross):
+    # rho(t) = U(t) V0 Gamma(t) V0^dag U(t)^dag with U(t) = exp(-iHt); in the
+    # crossing case two branches of Gamma are equal at sample `cross` (at 0
+    # a degenerate block of rho0 splits), and a third branch crosses both
+    # between samples
+    rng = np.random.default_rng(seed)
+    n, dt = 41, 0.02
+    t = dt * np.arange(n)
+    e, w = np.linalg.eigh(random_hermitian(rng))
+    v0, _ = np.linalg.qr(rng.normal(size=(4, 8)).view(complex))
+    flow = np.einsum("ij,tj,kj->tik", w, np.exp(-1j * np.outer(t, e)), w.conj()) @ v0
+    if kind == "crossing":
+        tau = slope * (t - t[cross])
+        gamma = np.stack([0.3 + tau, 0.3 - tau, np.full(n, 0.25), np.full(n, 0.15)], axis=1)
+    else:
+        gamma = np.broadcast_to(RHO0_SPECTRA[kind], (n, 4))
+    samples = (flow * gamma[:, None, :]) @ dag(flow)
+    traj = Trajectory(0.0, dt, samples)
+
+    frames, branches = continue_frames_per_block(samples)
+    u_oracle = frames @ dag(frames[0])  # the oracle's own t0 gauge (raw eigh)
+    frame = eigenframe_decompose(traj)
+    np.testing.assert_allclose(frame.useq.u, u_oracle, rtol=0, atol=1e-12)
+    got = np.diagonal(frame.gamma.samples, axis1=1, axis2=2).real
+    np.testing.assert_allclose(got, branches, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.sort(got), np.sort(gamma), rtol=0, atol=1e-12)
+    # every Gamma branch is linear in t, so labels that follow them through
+    # the crossings have zero second difference; sorted values would kink
+    assert np.abs(np.diff(got, 2, axis=0)).max() < 1e-12
+    if kind == "crossing":
+        return
+    seq = reconstruct_evolution(traj)
+    np.testing.assert_array_equal(seq.u, frame.useq.u)
+    round_trip = seq.u @ samples[0] @ dag(seq.u)
+    np.testing.assert_allclose(round_trip, samples, rtol=0, atol=1e-12)
