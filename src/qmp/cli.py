@@ -12,11 +12,13 @@ reconstruct Hamiltonians or master equations, and dump measure series:
 
 Trajectory files are JSON with fields dim, t0, dt, n, params and
 samples, where samples[i] lists the dim^2 entries of the matrix at time
-t0 + i*dt row-major, each complex entry as an [re, im] pair. Exit
-codes: 0 success, 2 validation failure (an invalid state, or a file
-that is not a dim-4 joint trajectory given to single-file check,
+t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
+written as compact JSON (no whitespace) and read in any JSON layout.
+Exit codes: 0 success, 2 validation failure (an invalid state, or a
+file that is not a dim-4 joint trajectory given to single-file check,
 reconstruct or measures; nothing is written then), 3 no CP-valid
-candidate, 4 parse error: unreadable JSON or any schema violation (a
+candidate, 4 parse error: unreadable JSON (undecodable bytes, invalid
+or too deeply nested JSON) or any schema violation (a
 missing or mistyped field, a sample of the wrong shape, a non-finite
 number, n < 3, dt <= 0), reported with the field or sample index, or a
 bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
@@ -153,7 +155,8 @@ def trajectory_from_dict(doc: dict, strict: bool = True, tol: float = 1e-8) -> T
 
 
 def write_trajectory(path: str, traj: Trajectory, params=None):
-    _atomic_write(path, json.dumps(trajectory_to_dict(traj, params), indent=1))
+    # one-shot dumps with no indent is the only form json encodes in C
+    _atomic_write(path, json.dumps(trajectory_to_dict(traj, params), separators=(",", ":")))
 
 
 def load_trajectory(path: str, strict: bool = True) -> Trajectory:
@@ -162,7 +165,9 @@ def load_trajectory(path: str, strict: bool = True) -> Trajectory:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, undecodable bytes and an
+        # integer literal past the int-to-str digit limit
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE)
     return trajectory_from_dict(doc, strict=strict)
 

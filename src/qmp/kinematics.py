@@ -17,11 +17,11 @@ import numpy as np
 
 from .qcore import (
     Trajectory,
+    _trace_powers,
     cholesky_psd,
     dag,
     partial_trace,
     spectrum,
-    trace_power,
 )
 from .bloch import pauli_basis
 
@@ -116,7 +116,7 @@ def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
     """
     if traj.dim > 4:
         raise ValueError(f"unitarity test supports dim <= 4, got dim {traj.dim}")
-    powers = {k: trace_power(traj.samples, k) for k in range(2, traj.dim + 1)}
+    powers = _trace_powers(traj.samples, range(2, traj.dim + 1))
     drift = {k: float(np.max(np.abs(p - p[0]))) for k, p in powers.items()}
     return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
 

@@ -224,18 +224,26 @@ def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
     return L
 
 
+def _trace_powers(rho: np.ndarray, ks) -> dict:
+    """{k: real Tr(rho^k)} for each k in ``ks``, from one running product."""
+    acc, out = rho, {}
+    for k in range(1, max(ks, default=0) + 1):
+        if k > 1:
+            acc = acc @ rho
+        if k in ks:
+            t = np.trace(acc, axis1=-2, axis2=-1)
+            if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
+                raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
+            out[k] = t.real
+    return out
+
+
 def trace_power(rho: np.ndarray, k: int):
     """Tr(rho^k) for k in 1..4 (real part; Hermitian input assumed)."""
     rho = _as_square(rho, "rho")
     if k not in (1, 2, 3, 4):
         raise ValueError(f"k must be in 1..4, got {k}")
-    acc = rho
-    for _ in range(k - 1):
-        acc = acc @ rho
-    t = np.trace(acc, axis1=-2, axis2=-1)
-    if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
-        raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
-    return _per_matrix(t.real)
+    return _per_matrix(_trace_powers(rho, (k,))[k])
 
 
 def spectrum(h: np.ndarray, vectors: bool = False):

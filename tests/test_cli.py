@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qmp.cli import (
     EXIT_INVALID,
@@ -90,6 +92,92 @@ def test_schema_violations_exit_4(tmp_path, capsys, edits, named):
     path.write_text(json.dumps(doc))
     assert run("check", path) == EXIT_PARSE
     assert named in capsys.readouterr().err
+
+
+def test_written_trajectory_is_compact_json(tmp_path):
+    traj = scenario_example1(2.0).joint(0.0, 0.07, 5)
+    path = tmp_path / "t.json"
+    write_trajectory(str(path), traj, {"J": 2.0})
+    text = path.read_text()
+    assert not any(c.isspace() for c in text)
+    assert json.loads(text) == trajectory_to_dict(traj, {"J": 2.0})
+
+
+def test_indented_trajectory_still_loads(tmp_path):
+    traj = scenario_example1(2.0).joint(0.0, 0.07, 20)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(trajectory_to_dict(traj, {"J": 2.0}), indent=1))
+    back = load_trajectory(str(path))
+    assert back.samples.tobytes() == traj.samples.tobytes()
+    assert back.t0 == traj.t0 and back.dt == traj.dt
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid 3-sample trajectory with one to three nodes dropped,
+    retyped, reshaped, nested, shifted or replaced by NaN or a string."""
+    doc = copy.deepcopy(_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        # walk down to a random node; ``parent[key]`` is that node
+        parent, key = None, None
+        node = doc
+        for _ in range(draw(st.integers(0, 4))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            parent, key = node, draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        edits = {
+            "retype": lambda: draw(_JSON_VALUES),
+            "nest": lambda: [node],
+            "nan": lambda: float("nan"),
+            "string": lambda: json.dumps(node),
+        }
+        if isinstance(node, list) and node:
+            edits["shorten"] = lambda: node[:-1]
+            edits["lengthen"] = lambda: node + node[-1:]
+        if isinstance(node, float):
+            edits["shift"] = lambda: node + 1.0
+        if parent is not None:
+            edits["drop"] = lambda: None
+        kind = draw(st.sampled_from(sorted(edits)))
+        new = edits[kind]()
+        if parent is None:
+            doc = new
+        elif kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = new
+    return json.dumps(doc).encode()
+
+
+def _parses(data: bytes) -> bool:
+    try:
+        json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=64) | mutated_documents())
+@example(data=b"\xff\xfe\x00\x01not utf-8")
+@example(data=b"[" * 100_000 + b"]" * 100_000)
+@example(data=b'{"dim": ' + b"1" * 5000 + b"}")
+def test_loader_never_raises(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
+    if not _parses(data):
+        assert code == EXIT_PARSE and str(path) in err
 
 
 class TestScenarioCommand:

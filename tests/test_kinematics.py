@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,20 @@ class TestUnitarityTest:
         big = Trajectory(0.0, 0.1, np.array([np.eye(8, dtype=complex) / 8] * 3))
         with pytest.raises(ValueError, match="dim 8"):
             unitarity_test(big)
+
+    def test_drift_matches_per_power_products(self):
+        traj = scenario_example3(2.0, 0.2).joint(0.0, 0.05, 100)
+        rho = traj.samples
+        for k, drift in unitarity_test(traj).drift.items():
+            t = np.trace(functools.reduce(np.matmul, [rho] * k), axis1=1, axis2=2).real
+            assert drift == np.max(np.abs(t - t[0]))
+
+    def test_every_power_checks_its_imaginary_part(self):
+        # the fourth roots of 0.1i: Tr rho^k = 0 for k = 2, 3 and Tr rho^4 = 0.4i
+        roots = (0.1j) ** 0.25 * 1j ** np.arange(4)
+        traj = Trajectory(0.0, 0.1, np.array([np.diag(roots)] * 3))
+        with pytest.raises(ValueError, match="imaginary part 0.4"):
+            unitarity_test(traj)
 
 
 class TestIsospectral:
