@@ -22,11 +22,20 @@ or too deeply nested JSON) or any schema violation (a
 missing or mistyped field, a sample of the wrong shape, a non-finite
 number, n < 3, dt <= 0), reported with the field or sample index, or a
 bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
-a finite number > 0), reported with the option's name. The env var
-QMP_TOL overrides the default tolerance 1e-10 used by the checks, and
-check's --tol overrides both. The tolerance sets the unitarity verdict
-of a joint file (the drift of Tr rho^k for k = 2..4) and the
-"isospectral" verdict of a marginal pair.
+a finite number > 0), reported with the option's name, or an --out
+that cannot be written (a file where a directory is wanted, a directory
+where a file is wanted, no permission), reported with the path. A
+reader that closes standard output early does not change the exit code.
+The env var QMP_TOL overrides the default tolerance 1e-10 used by the
+checks, and check's --tol overrides both. The tolerance sets the
+unitarity verdict of a joint file (the drift of Tr rho^k for k = 2..4)
+and the "isospectral" verdict of a marginal pair.
+
+reconstruct master reports a list of candidate generators. A unitary
+trajectory has one, "unitary", the K = 0 candidate; otherwise they come
+from the diagonal unital fit. Every entry has the same fields (label,
+d_diag, k_diag, k_spectrum, cp_valid, min_k_eigenvalue) and each
+CP-valid one adds its roundtrip_deviation and roundtrip_marginals.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CP = 3
 EXIT_PARSE = 4
+
+STATE_TOL = 1e-8  # how far a loaded sample may be from a density matrix
 
 
 class CliError(Exception):
@@ -83,20 +94,43 @@ def _joint_trajectory(path: str, command: str) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str):
-    """Write via a temporary file and rename; mode 0666 minus the umask."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f".qmp-{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _say(text: str, stream=None):
+    """print to stdout (or ``stream``). A reader that closed the pipe
+    ends the output, not the command: the stream is pointed at devnull,
+    so that the exit flush stays silent too, and the command goes on."""
+    stream = stream or sys.stdout
     try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _output_dir(path: str):
+    """os.makedirs(path, exist_ok=True), or exit 4 naming the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write to {path}: {exc}", EXIT_PARSE)
+
+
+def _atomic_write(path: str, text: str):
+    """Write via a temporary file and rename; mode 0666 minus the umask.
+    An OSError exits 4 naming the path and leaves no temporary file."""
+    d = os.path.dirname(os.path.abspath(path))
+    _output_dir(d)
+    tmp = os.path.join(d, f".qmp-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+    finally:
+        if os.path.exists(tmp):  # gone after a successful replace
             os.unlink(tmp)
-        raise
 
 
 def trajectory_to_dict(traj: Trajectory, params=None) -> dict:
@@ -118,11 +152,11 @@ def _field(doc: dict, name: str, kind):
         raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
 
 
-def trajectory_from_dict(doc: dict, strict: bool = True, tol: float = 1e-8) -> Trajectory:
+def trajectory_from_dict(doc: dict, strict: bool = True) -> Trajectory:
     """Decode a trajectory document; any schema violation exits 4.
 
     With ``strict`` every sample must also be a density matrix within
-    ``tol`` (exit 2 naming the first sample that is not).
+    STATE_TOL (exit 2 naming the first sample that is not).
     """
     dim, n = _field(doc, "dim", operator.index), _field(doc, "n", operator.index)
     t0, dt = _field(doc, "t0", float), _field(doc, "dt", float)
@@ -147,9 +181,9 @@ def trajectory_from_dict(doc: dict, strict: bool = True, tol: float = 1e-8) -> T
     except ValueError as exc:
         raise CliError(f"malformed trajectory file: {exc}", EXIT_PARSE)
     if strict:
-        bad = np.flatnonzero(~validate_state(traj.samples, tol).ok)
+        bad = np.flatnonzero(~validate_state(traj.samples, STATE_TOL).ok)
         if bad.size:
-            rep = validate_state(traj.samples[bad[0]], tol)
+            rep = validate_state(traj.samples[bad[0]], STATE_TOL)
             raise CliError(f"sample {bad[0]} is not a valid state: {rep}", EXIT_INVALID)
     return traj
 
@@ -183,7 +217,7 @@ def write_report(path_or_none, doc: dict):
     text = json.dumps(doc, indent=1)
     if path_or_none:
         _atomic_write(path_or_none, text)
-    print(text)
+    _say(text)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +244,7 @@ def cmd_scenario(args) -> int:
     dt = t_max / args.steps
     n = args.steps + 1
     pair = sc.marginals(0.0, dt, n)
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     write_trajectory(os.path.join(args.out, "marginal_a.json"), pair.rho_a, params)
     write_trajectory(os.path.join(args.out, "marginal_b.json"), pair.rho_b, params)
     if sc.joint_at is not None:
@@ -222,9 +256,9 @@ def cmd_scenario(args) -> int:
         if bad.size:
             raise CliError(f"marginal self-check failed at sample {bad[0]}", EXIT_INVALID)
         write_trajectory(os.path.join(args.out, "joint.json"), joint, params)
-        print(f"wrote joint.json, marginal_a.json, marginal_b.json to {args.out}")
+        _say(f"wrote joint.json, marginal_a.json, marginal_b.json to {args.out}")
     else:
-        print(
+        _say(
             f"wrote marginal_a.json, marginal_b.json to {args.out} "
             "(this scenario admits no joint trajectory)"
         )
@@ -274,7 +308,7 @@ def cmd_reconstruct_unitary(args) -> int:
         )
     seq = ur.reconstruct_evolution(traj)
     ham = ur.hamiltonian_from_evolution(seq)
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
     coeffs = bloch.pauli_decompose(ham.trajectory.samples).h.reshape(ham.trajectory.n, 16)
     _write_csv(
@@ -297,7 +331,7 @@ def cmd_reconstruct_master(args) -> int:
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
     h_mean = ham.trajectory.samples.mean(axis=0)
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
 
     unit = kinematics.unitarity_test(traj, max(tol, 1e-8))
@@ -307,30 +341,20 @@ def cmd_reconstruct_master(args) -> int:
         "antihermitian_defect": ham.antihermitian_defect,
         "candidates": [],
     }
-    stride = 2 if (traj.n - 1) % 2 == 0 else 1
     if unit.passed:
-        rt = dr.roundtrip_verify(traj, dr.constant_generator(h_mean), stride=stride)
-        doc["candidates"].append(
-            {
-                "label": "unitary",
-                "d_diag": [0.0] * 15,
-                "k_spectrum": [0.0] * 15,
-                "cp_valid": True,
-                "roundtrip_deviation": rt.max_deviation,
-            }
-        )
-        write_report(os.path.join(args.out, "report.json"), doc)
-        return EXIT_OK
-
-    fit = dr.fit_diagonal_unital(frame.gamma)
-    doc["fit"] = {
-        "active": [i + 1 for i in fit.active],
-        "free": [i + 1 for i in fit.free],
-        "residual": fit.residual,
-        "d_diag": list(fit.d_diag),
-    }
+        # the unitary answer is the K = 0 candidate
+        candidates = [("unitary", np.zeros(15), dr.KossakowskiMatrix(np.zeros((15, 15))))]
+    else:
+        fit = dr.fit_diagonal_unital(frame.branches, traj.dt)
+        doc["fit"] = {
+            "active": [i + 1 for i in fit.active],
+            "free": [i + 1 for i in fit.free],
+            "residual": fit.residual,
+            "d_diag": list(fit.d_diag),
+        }
+        candidates = dr.candidate_diagonals(fit)
     valid = []  # (report entry, Kossakowski matrix) of each CP-valid candidate
-    for label, d_full, k in dr.candidate_diagonals(fit):
+    for label, d_full, k in candidates:
         cp = dr.cp_check(k)
         entry = {
             "label": label,
@@ -345,15 +369,8 @@ def cmd_reconstruct_master(args) -> int:
             valid.append((entry, k.conjugated(frame.v0)))
         doc["candidates"].append(entry)
     if valid:
-        # every CP-valid candidate integrates in one RK4 loop; on an odd
-        # interval count the RK4 midpoints need U between samples
-        useq = frame.useq if stride == 2 else frame.useq.half_grid()
-        diss = dr.rotate_dissipator([k for _, k in valid], useq)
-
-        def rhs(t, rho):
-            return dr.gksl_apply(h_mean, None, rho) + diss(t, rho)
-
-        rt = dr.roundtrip_verify(traj, rhs, stride=stride)
+        # every CP-valid candidate integrates in one RK4 loop
+        rt = dr.roundtrip_verify(traj, h_mean, [k for _, k in valid], frame.useq)
         for j, (entry, _) in enumerate(valid):
             entry["roundtrip_deviation"] = float(rt.max_deviation[j])
             entry["roundtrip_marginals"] = [
@@ -377,7 +394,7 @@ def cmd_measures(args) -> int:
             measures.negativity(rho),
         ]),
     )
-    print(f"wrote {traj.n} rows to {args.out}")
+    _say(f"wrote {traj.n} rows to {args.out}")
     return EXIT_OK
 
 
@@ -427,15 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "command", None) == "check" and len(args.files) > 2:
-        print("check takes one joint file or two marginal files", file=sys.stderr)
+        _say("check takes one joint file or two marginal files", sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return exc.code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_INVALID
 
 

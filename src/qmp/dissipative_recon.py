@@ -9,9 +9,8 @@ and has one representation in this module: the 16x16 Liouvillian L_K
 acting on row-major vectorized operators, vec(X) = X.reshape(16), for
 which vec(A X B) = (A kron B^T) vec(X). ``KossakowskiMatrix.liouvillian``
 builds L_K once from K; applying the dissipator, its affine picture
-r_dot = D r + l on the 15-component coherence vector, the constant
-master-equation generator and the frame-rotated dissipator are all
-products with that one matrix.
+r_dot = D r + l on the 15-component coherence vector and the
+frame-rotated dissipator are all products with that one matrix.
 
 For diagonal K the two pictures are linked by the anticommutation
 pattern of the basis: D_kk = -2 * sum over i with {G_i, G_k} = 0 of
@@ -28,15 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .bloch import pauli_basis, to_coherence, traceless_basis
+from .bloch import pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
-    _per_matrix,
     _require_hermitian,
     diff_series,
     finite_diff,
@@ -66,7 +64,6 @@ __all__ = [
     "dissipator_apply",
     "gksl_apply",
     "rotate_dissipator",
-    "constant_generator",
     "roundtrip_verify",
 ]
 
@@ -186,17 +183,22 @@ class DiagonalFit:
     residual: float
 
 
-def fit_diagonal_unital(gamma_traj: Trajectory, active_tol: float = 1e-10) -> DiagonalFit:
-    """Fit r_dot = diag(d) r on the coherence vector of a diagonal-frame
-    trajectory.
+# Tr(diag(w) G_k) = w . diagonal(G_k): row i holds entry (i, i) of G_1..G_15
+_DIAGONAL_COHERENCE = np.diagonal(traceless_basis(), axis1=1, axis2=2).real.T.copy()
+_DIAGONAL_COHERENCE.setflags(write=False)
+
+
+def fit_diagonal_unital(branches: np.ndarray, dt: float, active_tol: float = 1e-10) -> DiagonalFit:
+    """Fit r_dot = diag(d) r on the coherence vector of the diagonal
+    states diag(branches(t)), an (n, 4) series sampled every ``dt``.
 
     Components with |r_k| below ``active_tol`` everywhere carry no
     information and are reported as free; each active component gets its
     least-squares constant rate. The offset l is fixed to zero (unital
     ansatz).
     """
-    r = to_coherence(gamma_traj.samples).as_vector()
-    rdot = diff_series(r, gamma_traj.dt)
+    r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
+    rdot = diff_series(r, dt)
     amp = np.max(np.abs(r), axis=0)
     active = tuple(int(i) for i in np.flatnonzero(amp > active_tol))
     free = tuple(int(i) for i in np.flatnonzero(amp <= active_tol))
@@ -208,11 +210,11 @@ def fit_diagonal_unital(gamma_traj: Trajectory, active_tol: float = 1e-10) -> Di
     return DiagonalFit(d, active, free, res)
 
 
-def diagonal_fit_residual(gamma_traj: Trajectory, d_diag) -> float:
+def diagonal_fit_residual(branches: np.ndarray, dt: float, d_diag) -> float:
     """Worst misfit of a given constant diagonal rate vector."""
     d_diag = np.asarray(d_diag, dtype=float).reshape(15)
-    r = to_coherence(gamma_traj.samples).as_vector()
-    rdot = diff_series(r, gamma_traj.dt)
+    r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
+    rdot = diff_series(r, dt)
     return float(np.max(np.abs(rdot - d_diag[np.newaxis, :] * r)))
 
 
@@ -388,24 +390,16 @@ def gksl_apply(h: np.ndarray, k: Optional[KossakowskiMatrix], rho: np.ndarray) -
     return out
 
 
-def rotate_dissipator(
-    k, useq: EvolutionSequence, tol: float = 1e-9
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Lab-frame applier of one diagonal-frame dissipator, or of c.
+def rotate_dissipator(ks, useq: EvolutionSequence, tol: float = 1e-9):
+    """Lab-frame applier of c diagonal-frame dissipators.
 
-    Returns a callable (t, rho) -> U_t Diss_K[U_t^dag rho U_t] U_t^dag
+    Returns a callable (t, rho) -> U_t Diss_Kj[U_t^dag rho U_t] U_t^dag
     with U_t looked up once per call on the sequence grid; off-grid
-    times are rejected, so integration steps must land on grid samples
-    (``EvolutionSequence.half_grid`` adds the midpoints). For one
-    KossakowskiMatrix, rho is a 4x4 matrix or a (..., 4, 4) stack. For
-    a sequence of c, their Liouvillians are stacked once as (c, 16, 16)
-    and state j of a (c, 4, 4) stack gets dissipator j; one 4x4 rho
-    gets all c, as a (c, 4, 4) stack.
+    times are rejected. The c Liouvillians are stacked once as
+    (c, 16, 16): state j of a (c, 4, 4) stack gets dissipator j, and one
+    4x4 rho gets all c, as a (c, 4, 4) stack.
     """
-    if isinstance(k, KossakowskiMatrix):
-        lk = k.liouvillian
-    else:
-        lk = np.stack([kj.liouvillian for kj in k])
+    lk = np.stack([k.liouvillian for k in ks])
 
     def apply(t: float, rho: np.ndarray) -> np.ndarray:
         idx = (t - useq.t0) / useq.dt
@@ -419,57 +413,44 @@ def rotate_dissipator(
     return apply
 
 
-def constant_generator(h: np.ndarray, k: Optional[KossakowskiMatrix] = None):
-    """Time-independent right-hand side for rk4_integrate, one product
-    with L = -i (H kron I - I kron H^T) + L_K per call."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(4)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    if k is not None:
-        gen = gen + k.liouvillian
-
-    def rhs(t, rho):
-        return (gen @ rho.reshape(16)).reshape(4, 4)
-
-    return rhs
-
-
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Floats for one generator, length-c arrays for a stack of c."""
+    """Length-c arrays, one value per Kossakowski matrix."""
 
-    max_deviation: float
-    max_marginal_a: float
-    max_marginal_b: float
-    trace_drift: float
+    max_deviation: np.ndarray
+    max_marginal_a: np.ndarray
+    max_marginal_b: np.ndarray
+    trace_drift: np.ndarray
 
 
-def roundtrip_verify(traj: Trajectory, rhs, stride: int = 1) -> RoundtripReport:
-    """Re-integrate a generator from the first sample and compare.
+def roundtrip_verify(
+    traj: Trajectory, h: np.ndarray, ks, useq: EvolutionSequence
+) -> RoundtripReport:
+    """Re-integrate -i[h, rho] + U Diss_Kj[U^dag rho U] U^dag from the
+    first sample for each of a sequence of c Kossakowski matrices
+    ``ks``, with U from ``useq`` on the trajectory's grid, and compare.
 
-    The integrated state takes the shape ``rhs`` returns for rho(t0):
-    a 4x4 matrix for one generator, or a (c, 4, 4) stack when ``rhs``
-    evaluates c generators at once (as ``rotate_dissipator`` does for c
-    Kossakowski matrices); then all c run in one RK4 loop and every
-    report field holds one value per generator. RK4 steps of size
-    stride * dt are taken. When ``rhs`` looks unitaries up on the
-    trajectory's own grid, use stride 2 so that the midpoint
-    evaluations fall on grid samples; on an odd number of intervals,
-    use stride 1 and look them up on ``useq.half_grid()``. Deviations
-    are max Frobenius distance of the joint state and max absolute
-    entry deviation of each marginal.
+    All c run as one (c, 4, 4) stack in one RK4 loop. The RK4 grid
+    follows the interval count, so that every midpoint evaluation finds
+    U on a sample: on an even count the steps are 2 dt and the midpoints
+    are odd samples of ``useq``; on an odd count the steps are dt and
+    the midpoints come from ``useq.half_grid()``. Deviations are the max
+    Frobenius distance of the joint state and the max absolute entry
+    deviation of each marginal, over the integrated grid.
     """
-    if stride < 1 or (traj.n - 1) % stride != 0:
-        raise ValueError("stride must divide the number of intervals")
-    n_steps = (traj.n - 1) // stride
-    rho0 = traj.samples[0]
-    rho0 = np.broadcast_to(rho0, np.shape(rhs(traj.t0, rho0)))
-    result = rk4_integrate(rhs, rho0, traj.t0, stride * traj.dt, n_steps)
+    stride = 2 if (traj.n - 1) % 2 == 0 else 1
+    diss = rotate_dissipator(ks, useq if stride == 2 else useq.half_grid())
+
+    def rhs(t, rho):
+        return gksl_apply(h, None, rho) + diss(t, rho)
+
+    rho0 = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
+    result = rk4_integrate(rhs, rho0, traj.t0, stride * traj.dt, (traj.n - 1) // stride)
     # time axis third from last, so each generator's run is compared whole
     diff = np.moveaxis(result.samples, 0, -3) - traj.samples[::stride]
-    dev = np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1)
-    dev_a = np.max(np.abs(partial_trace(diff, "B")), axis=(-3, -2, -1))
-    dev_b = np.max(np.abs(partial_trace(diff, "A")), axis=(-3, -2, -1))
     return RoundtripReport(
-        _per_matrix(dev), _per_matrix(dev_a), _per_matrix(dev_b), result.max_trace_drift
+        np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1),
+        np.max(np.abs(partial_trace(diff, "B")), axis=(-3, -2, -1)),
+        np.max(np.abs(partial_trace(diff, "A")), axis=(-3, -2, -1)),
+        result.max_trace_drift,
     )

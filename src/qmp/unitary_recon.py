@@ -99,7 +99,6 @@ class EvolutionSequence:
     t0: float
     dt: float
     u: np.ndarray
-    gamma: np.ndarray  # descending spectrum of rho(t0)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
@@ -133,25 +132,22 @@ class EvolutionSequence:
         u = np.empty((2 * self.n - 1,) + self.u.shape[1:], dtype=complex)
         u[::2] = self.u
         u[1::2] = w @ vh
-        return EvolutionSequence(self.t0, 0.5 * self.dt, u, self.gamma)
+        return EvolutionSequence(self.t0, 0.5 * self.dt, u)
 
 
 @dataclass(frozen=True)
 class EigenframeResult:
-    """Eigenframe split rho(t) = V(t) W(t) V(t)^dag with labeled branches.
+    """Eigenframe split rho(t) = V(t) diag(branches(t)) V(t)^dag.
 
-    ``useq`` carries U(t) = V(t) V(t0)^dag (identity at t0); ``gamma``
-    is the trajectory of diagonal branch matrices W(t) ordered by the
-    continuation labels, ``v0`` the initial frame V(t0), so that
-    rho(t) = U(t) V0 W(t) V0^dag U(t)^dag, and ``residual`` the max
-    reconstruction error max_t || U rho(t0) U^dag - rho || when the
-    spectrum is constant.
+    ``useq`` carries U(t) = V(t) V(t0)^dag (identity at t0), ``branches``
+    the (n, d) eigenvalue branches in the continuation's label order and
+    ``v0`` the initial frame V(t0), so that
+    rho(t) = U(t) V0 diag(branches(t)) V0^dag U(t)^dag.
     """
 
     useq: EvolutionSequence
-    gamma: Trajectory
+    branches: np.ndarray
     v0: np.ndarray
-    residual: float
 
 
 # flat indices r * k + perm[r] of the k! label permutations of a k x k matrix
@@ -223,9 +219,15 @@ def _continue_frames(traj: Trajectory):
     return frames, branches
 
 
-def _frame_unitaries(frames: np.ndarray) -> np.ndarray:
-    """U(t) = V(t) V(t0)^dag for every frame of the continuation."""
-    return np.einsum("nij,jk->nik", frames, dag(frames[0]))
+def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
+    """Split a (possibly dissipative) trajectory into frame and branches.
+
+    The spectrum may drift: the eigenvalue branches are returned in the
+    continuation's label order, alongside U(t) = V(t) V(t0)^dag.
+    """
+    frames, branches = _continue_frames(traj)
+    u = np.einsum("nij,jk->nik", frames, dag(frames[0]))
+    return EigenframeResult(EvolutionSequence(traj.t0, traj.dt, u), branches, frames[0].copy())
 
 
 def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
@@ -236,33 +238,12 @@ def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
     unique up to right-multiplication by unitaries commuting with
     rho(t0); the continuation gauge picks the smooth representative.
     """
-    frames, branches = _continue_frames(traj)
-    drift = np.max(np.abs(branches - branches[0]), axis=1)
+    frame = eigenframe_decompose(traj)
+    drift = np.max(np.abs(frame.branches - frame.branches[0]), axis=1)
     i = int(np.argmax(drift > SPECTRUM_DRIFT_TOL))
     if drift[i] > SPECTRUM_DRIFT_TOL:
         raise ValueError(f"spectrum drift {drift[i]:g} at sample {i}: not a unitary trajectory")
-    gamma = spectrum(traj.samples[0])[::-1]
-    return EvolutionSequence(traj.t0, traj.dt, _frame_unitaries(frames), gamma)
-
-
-def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
-    """Split a (possibly dissipative) trajectory into frame and branches.
-
-    Unlike ``reconstruct_evolution`` the spectrum may drift; the
-    eigenvalue branches W(t) are returned as a diagonal trajectory in
-    the continuation's label order, alongside U(t) = V(t) V(t0)^dag.
-    """
-    frames, branches = _continue_frames(traj)
-    u = _frame_unitaries(frames)
-    gamma = np.zeros_like(traj.samples)
-    idx = np.arange(traj.dim)
-    gamma[:, idx, idx] = branches
-    # Residual of the frozen-spectrum reconstruction: tiny for unitary
-    # trajectories, grows with dissipation.
-    frozen = np.einsum("nij,jk,nlk->nil", u, traj.samples[0], u.conj())
-    res = float(np.max(np.abs(frozen - traj.samples)))
-    useq = EvolutionSequence(traj.t0, traj.dt, u, branches[0].copy())
-    return EigenframeResult(useq, Trajectory(traj.t0, traj.dt, gamma), frames[0].copy(), res)
+    return frame.useq
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ from qmp.kinematics import scenario_example1, scenario_example3, unitarity_test
 from qmp.qcore import Trajectory
 
 
+# the fields of every reconstruct master candidate, and of a CP-valid one
+CANDIDATE_KEYS = {"label", "d_diag", "k_diag", "k_spectrum", "cp_valid", "min_k_eigenvalue"}
+ROUNDTRIP_KEYS = {"roundtrip_deviation", "roundtrip_marginals"}
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -292,6 +297,7 @@ class TestReconstructCommands:
         valid = [c for c in doc["candidates"] if c["cp_valid"]]
         assert valid, "expected at least one CP-valid candidate"
         best = valid[0]
+        assert set(best) == CANDIDATE_KEYS | ROUNDTRIP_KEYS
         assert best["label"] == "single:4"
         assert max(best["k_diag"]) == pytest.approx(0.1, abs=1e-6)
         assert best["roundtrip_deviation"] < 1e-3
@@ -343,7 +349,14 @@ class TestReconstructCommands:
         assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
         doc = json.loads((rec / "report.json").read_text())
         assert doc["unitary"]
-        assert doc["candidates"][0]["label"] == "unitary"
+        assert "fit" not in doc
+        (entry,) = doc["candidates"]
+        assert entry["label"] == "unitary"
+        # the K = 0 candidate, with the fields of every other candidate
+        assert set(entry) == CANDIDATE_KEYS | ROUNDTRIP_KEYS
+        assert entry["k_diag"] == entry["d_diag"] == entry["k_spectrum"] == [0.0] * 15
+        assert entry["cp_valid"] is True and entry["min_k_eigenvalue"] == 0.0
+        assert entry["roundtrip_deviation"] < 1e-4
 
     def test_master_without_cp_candidate(self, tmp_path):
         # time-reversed damping: purity increases, no PSD dissipator fits
@@ -452,3 +465,52 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, buffered):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write meets a broken pipe: scenario prints one line (buffered,
+    # it fails at the flush), reconstruct master a report longer than the
+    # stdout buffer (it fails inside print)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmp.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    ex3, rec = tmp_path / "ex3", tmp_path / "rec"
+    for argv in (
+        ["scenario", "example3", "--t-max", 1, "--steps", 200, "--out", ex3],
+        ["reconstruct", "master", ex3 / "joint.json", "--out", rec],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(tmp_path / "err.txt", "wb") as err:
+            try:
+                code = subprocess.call(
+                    [sys.executable, "-m", "qmp.cli", *map(str, argv)],
+                    stdout=write_end, stderr=err, env=env,
+                )
+            finally:
+                os.close(write_end)
+        assert code == EXIT_OK, argv
+        assert (tmp_path / "err.txt").read_text() == "", argv
+    assert {p.name for p in ex3.iterdir()} == {"joint.json", "marginal_a.json", "marginal_b.json"}
+    assert {p.name for p in rec.iterdir()} == {"hamiltonian.json", "report.json"}
+
+
+def test_unwritable_out_exits_4(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    assert run("scenario", "example1", "--t-max", 1, "--steps", 10, "--out", taken) == EXIT_PARSE
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "x"
+    out = tmp_path / "ex1"
+    run("scenario", "example1", "--t-max", 1, "--steps", 10, "--out", out)
+    capsys.readouterr()
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run("measures", out / "joint.json", "--out", folder) == EXIT_PARSE
+    assert str(folder) in capsys.readouterr().err
+    assert list(folder.iterdir()) == []
+    assert not list(tmp_path.glob(".qmp-*.tmp"))

@@ -9,15 +9,20 @@ from scipy.optimize import nnls
 from qmp.bloch import to_coherence, traceless_basis
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import Trajectory, rk4_integrate
-from qmp.unitary_recon import EvolutionSequence, eigenframe_decompose, hamiltonian_from_evolution
+from qmp.unitary_recon import (
+    EvolutionSequence,
+    eigenframe_decompose,
+    hamiltonian_from_evolution,
+    reconstruct_evolution,
+)
 from qmp.dissipative_recon import (
+    _DIAGONAL_COHERENCE,
     _cumulative_trapezoid,
     _nnls,
     AffineGenerator,
     KossakowskiMatrix,
     anticommutation_table,
     candidate_diagonals,
-    constant_generator,
     cp_check,
     d_from_k,
     diagonal_fit_residual,
@@ -140,19 +145,29 @@ class TestFit:
     def test_damped_diagonal_frame(self):
         traj = scenario_example3(2.0, GAMMA).joint(0.0, 1e-3, 2001)
         frame = eigenframe_decompose(traj)
-        fit = fit_diagonal_unital(frame.gamma)
+        fit = fit_diagonal_unital(frame.branches, traj.dt)
         assert [i + 1 for i in fit.active] == [3, 12, 15]
         assert fit.d_diag[2] == pytest.approx(0.0, abs=1e-8)
         assert fit.d_diag[11] == pytest.approx(-GAMMA, abs=1e-6)
         assert fit.d_diag[14] == pytest.approx(-GAMMA, abs=1e-6)
         assert fit.residual < 1e-6
         # the sparser rate assignment fits the same data equally well
-        assert diagonal_fit_residual(frame.gamma, choice1_rates()) < 1e-6
+        assert diagonal_fit_residual(frame.branches, traj.dt, choice1_rates()) < 1e-6
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        branches=arrays(
+            np.float64, st.tuples(st.integers(1, 30), st.just(4)), elements=st.floats(-1.0, 1.0)
+        )
+    )
+    def test_branch_coherence_matches_to_coherence(self, branches):
+        # the fit reads r = branches @ _DIAGONAL_COHERENCE, the coherence
+        # vector of the diagonal states diag(branches)
+        want = to_coherence(branches[:, :, np.newaxis] * np.eye(4)).as_vector()
+        np.testing.assert_allclose(branches @ _DIAGONAL_COHERENCE, want, rtol=0, atol=1e-15)
 
     def test_static_trajectory_fits_zero(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        traj = Trajectory(0.0, 0.1, np.array([rho] * 10))
-        fit = fit_diagonal_unital(traj)
+        fit = fit_diagonal_unital(np.tile([0.4, 0.3, 0.2, 0.1], (10, 1)), 0.1)
         np.testing.assert_allclose(fit.d_diag, 0, atol=1e-12)
         assert fit.residual < 1e-12
 
@@ -257,7 +272,11 @@ class TestGksl:
     def test_psd_k_preserves_positivity(self):
         a = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         km = KossakowskiMatrix(0.02 * (a @ a.conj().T))
-        rhs = constant_generator(random_hermitian(rng), km)
+        h = random_hermitian(rng)
+
+        def rhs(t, rho):
+            return gksl_apply(h, km, rho)
+
         for _ in range(5):
             res = rk4_integrate(rhs, random_state(rng), 0.0, 1e-2, 300)
             w = np.linalg.eigvalsh(res.trajectory.samples[-1])
@@ -337,7 +356,7 @@ def test_nnls_matches_oracle_and_kkt(seed, shaped_like_fit):
 class TestCandidates:
     def test_damped_scenario_candidates(self):
         traj = scenario_example3(2.0, GAMMA).joint(0.0, 1e-3, 2001)
-        fit = fit_diagonal_unital(eigenframe_decompose(traj).gamma)
+        fit = fit_diagonal_unital(eigenframe_decompose(traj).branches, traj.dt)
         cands = candidate_diagonals(fit)
         labels = [label for label, _, _ in cands]
         assert labels[0] == "zero"
@@ -347,9 +366,7 @@ class TestCandidates:
         assert cp_check(by_label["single:4"]).valid
 
     def test_zero_fit_yields_trivial_candidate(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        traj = Trajectory(0.0, 0.1, np.array([rho] * 10))
-        fit = fit_diagonal_unital(traj)
+        fit = fit_diagonal_unital(np.tile([0.4, 0.3, 0.2, 0.1], (10, 1)), 0.1)
         cands = candidate_diagonals(fit)
         label, d_full, k = cands[0]
         assert cp_check(k).valid
@@ -360,17 +377,17 @@ class TestRotateAndRoundtrip:
     def test_identity_sequence_is_direct_application(self):
         k = k_from_d(choice2_rates())
         u = np.array([np.eye(4, dtype=complex)] * 5)
-        seq = EvolutionSequence(0.0, 0.1, u, np.full(4, 0.25))
-        apply = rotate_dissipator(k, seq)
+        seq = EvolutionSequence(0.0, 0.1, u)
+        apply = rotate_dissipator([k], seq)
         rho = random_state(rng)
-        np.testing.assert_allclose(apply(0.2, rho), dissipator_apply(k, rho), atol=1e-13)
+        np.testing.assert_allclose(apply(0.2, rho)[0], dissipator_apply(k, rho), atol=1e-13)
 
     def test_off_grid_time_rejected(self):
         k = k_from_d(choice2_rates())
         u = np.array([np.eye(4, dtype=complex)] * 5)
-        seq = EvolutionSequence(0.0, 0.1, u, np.full(4, 0.25))
+        seq = EvolutionSequence(0.0, 0.1, u)
         with pytest.raises(ValueError, match="grid"):
-            rotate_dissipator(k, seq)(0.25, random_state(rng))
+            rotate_dissipator([k], seq)(0.25, random_state(rng))
 
     def test_rotated_dissipator_matches_residual(self):
         j, dt = 2.0, 5e-4
@@ -379,11 +396,11 @@ class TestRotateAndRoundtrip:
         g = traceless_basis()
         h = (3 * j / 8) * (g[4] - g[9])
         res = generator_residual(traj, Trajectory(0.0, dt, np.array([h] * 2001)))
-        apply = rotate_dissipator(k_from_d(choice2_rates()), frame.useq)
+        apply = rotate_dissipator([k_from_d(choice2_rates())], frame.useq)
         worst = 0.0
         for i in range(1, 2000, 53):
             t = traj.t0 + i * traj.dt
-            worst = max(worst, np.max(np.abs(apply(t, traj.samples[i]) - res.samples[i])))
+            worst = max(worst, np.max(np.abs(apply(t, traj.samples[i])[0] - res.samples[i])))
         assert worst < 1e-6
 
     def test_unitary_roundtrip(self):
@@ -391,8 +408,11 @@ class TestRotateAndRoundtrip:
         traj = scenario_example1(j).joint(0.0, 1e-3, 1001)
         g = traceless_basis()
         h = -(j / 4) * (g[4] + g[9])
-        rep = roundtrip_verify(traj, constant_generator(h))
-        assert rep.max_deviation < 1e-6
+        # K = 0, the candidate reconstruct master reports for unitary input
+        k0 = KossakowskiMatrix(np.zeros((15, 15)))
+        rep = roundtrip_verify(traj, h, [k0], reconstruct_evolution(traj))
+        assert rep.max_deviation.shape == (1,)
+        assert rep.max_deviation[0] < 1e-6
 
     def test_wrong_damping_sign_detected(self):
         j = 2.0
@@ -400,18 +420,18 @@ class TestRotateAndRoundtrip:
         frame = eigenframe_decompose(traj)
         g = traceless_basis()
         h = (3 * j / 8) * (g[4] - g[9])
-        bad = rotate_dissipator(k_from_d(-choice2_rates()), frame.useq)
+        rep = roundtrip_verify(traj, h, [k_from_d(-choice2_rates())], frame.useq)
+        assert rep.max_deviation[0] > 0.05
 
-        def rhs(t, rho):
-            return gksl_apply(h, None, rho) + bad(t, rho)
-
-        rep = roundtrip_verify(traj, rhs, stride=2)
-        assert rep.max_deviation > 0.05
-
-    def test_stride_validation(self):
-        traj = scenario_example1(2.0).joint(0.0, 1e-3, 11)
-        with pytest.raises(ValueError):
-            roundtrip_verify(traj, constant_generator(np.zeros((4, 4))), stride=3)
+    def test_odd_interval_count_uses_half_grid(self):
+        # 401 intervals: the RK4 midpoints fall between samples, so the
+        # round trip steps dt on the half grid of the continuation
+        j = 2.0
+        traj = scenario_example3(j, GAMMA).joint(0.0, 2.0 / 401, 402)
+        g = traceless_basis()
+        h = (3 * j / 8) * (g[4] - g[9])
+        rep = roundtrip_verify(traj, h, [k_from_d(choice2_rates())], eigenframe_decompose(traj).useq)
+        assert rep.max_deviation[0] < 1e-4
 
 
 @settings(deadline=None, max_examples=40)
@@ -422,7 +442,7 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
     # U on the half-spaced grid, so that the RK4 midpoints are samples
     z = r.normal(size=(2 * n_steps, 4, 4)) + 1j * r.normal(size=(2 * n_steps, 4, 4))
     u = np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]])
-    useq = EvolutionSequence(0.0, dt / 2, u, np.full(4, 0.25))
+    useq = EvolutionSequence(0.0, dt / 2, u)
     hs = np.array([random_hermitian(r) for _ in range(c)])
     a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
     ks = [KossakowskiMatrix(0.005 * aj @ aj.conj().T) for aj in a]
@@ -435,8 +455,8 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
         return gksl_apply(hs, None, rho) + diss(t, rho)
 
     def single(j):
-        dj = rotate_dissipator(ks[j], useq)
-        return lambda t, rho: gksl_apply(hs[j], None, rho) + dj(t, rho)
+        dj = rotate_dissipator([ks[j]], useq)
+        return lambda t, rho: gksl_apply(hs[j], None, rho) + dj(t, rho)[0]
 
     res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
     assert res.samples.shape == (n_steps + 1, c, 4, 4)
@@ -450,12 +470,13 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
         assert res.max_hermiticity_drift[j] == pytest.approx(herm_drift.max(), rel=0, abs=1e-14)
 
     traj = Trajectory(0.0, dt / 2, np.array([random_state(r) for _ in range(2 * n_steps + 1)]))
-    rep = roundtrip_verify(traj, stacked, stride=2)
+    # 2 n_steps intervals: roundtrip_verify steps dt, with midpoints on useq
+    rep = roundtrip_verify(traj, hs[0], ks, useq)
     for j in range(c):
-        one = roundtrip_verify(traj, single(j), stride=2)
+        one = roundtrip_verify(traj, hs[0], [ks[j]], useq)
         for name in ("max_deviation", "max_marginal_a", "max_marginal_b", "trace_drift"):
             assert np.shape(getattr(rep, name)) == (c,)
-            assert getattr(rep, name)[j] == pytest.approx(getattr(one, name), rel=0, abs=1e-14)
+            assert getattr(rep, name)[j] == pytest.approx(getattr(one, name)[0], rel=0, abs=1e-14)
 
 
 def test_affine_generator_validation():
