@@ -6,9 +6,10 @@ recover the generating Hamiltonian H(t) = i (dU/dt) U^dag. The route is
 eigenframe continuation: per-time eigendecompositions are glued together
 by overlap matching and one alignment rule, the polar factor of the
 overlap restricted to each degenerate eigenvalue block (a single
-eigenvector is a 1x1 block, whose polar factor is its phase fix). That
-stays smooth where coordinate charts (e.g. the Iwasawa/Gauss
-parametrization, provided here for validation) become singular.
+eigenvector is a 1x1 block, whose polar factor is its phase fix), in
+batched passes plus single steps where the block partition changes or the
+match leaks between blocks. That stays smooth where coordinate charts
+(e.g. the Iwasawa/Gauss parametrization, for validation) become singular.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-9
 SPECTRUM_DRIFT_TOL = 1e-8
+# squared overlap a step's label match may leave between degeneracy blocks;
+# a clean step leaves its squared rotation angle, a wrong match above 0.7
+BLOCK_LEAK_TOL = 0.25
+_CHUNK = 4096  # samples per batched pass, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,12 @@ _PERMUTATION_INDEX = {
 
 
 def _best_permutation(score: np.ndarray) -> np.ndarray:
-    """perm maximizing sum_r score[r, perm[r]] for a k x k score, k <= 4,
-    by exhaustive search over the k! label permutations."""
-    flat = _PERMUTATION_INDEX[len(score)]
-    return flat[score.take(flat).sum(axis=1).argmax()] % len(score)
+    """perm maximizing sum_r score[..., r, perm[r]] for (..., k, k) scores,
+    k <= 4, by exhaustive search over the k! label permutations: (..., k)."""
+    k = score.shape[-1]
+    flat = _PERMUTATION_INDEX[k]
+    totals = score.reshape(score.shape[:-2] + (k * k,)).take(flat, axis=-1).sum(axis=-1)
+    return flat[totals.argmax(axis=-1)] % k
 
 
 def _block_ids(ws: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -171,52 +178,85 @@ def _block_ids(ws: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
     return ids
 
 
+def _aligned(overlap: np.ndarray, ids: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Polar factor of overlaps V^dag X, column k of X matched to V[:, perm[k]],
+    masked to entries sharing a block (ids of V), before and after the SVD."""
+    same = ids[..., :, None] == np.take_along_axis(ids, perm, axis=-1)[..., None, :]
+    left, _, right = np.linalg.svd(overlap * same)
+    return (left @ right) * same
+
+
+def _compose(perms: np.ndarray) -> None:
+    """perms[i] <- perms[i][perms[i - 1]]...[perms[0]], in place, in log2 n passes."""
+    k = 1
+    while k < len(perms):
+        perms[k:] = np.take_along_axis(perms[k:], perms[:-k], axis=-1)
+        k *= 2
+
+
 def _continue_frames(traj: Trajectory):
     """Label-continuous eigendecomposition of every sample.
 
-    Each step matches the eigenvalue branches to the previous frame by
-    maximal total eigenvector overlap, an exhaustive search over the d!
-    label permutations (d <= 4), and then aligns the relabeled
-    eigenvectors V to the previous frame F by one rule: V is multiplied
-    by the polar factor of V^dag F with the entries between different
-    degenerate blocks masked out. For a single eigenvector that is the
-    phase making its overlap real-positive; for a degenerate block it is
-    the orthogonal Procrustes rotation, which parallel-transports the
-    frame through exact degeneracies. Returns the frames, shape (n, d, d),
-    and the labeled eigenvalue branches, shape (n, d).
+    Each step matches the eigenvalue branches to the previous frame F by
+    maximal total eigenvector overlap (all d! label permutations, d <= 4),
+    then multiplies the relabeled eigenvectors V by the polar factor of
+    V^dag F with the entries between different degenerate blocks masked
+    out: the phase making a single eigenvector's overlap real-positive, and
+    for a degenerate block the orthogonal Procrustes rotation, which
+    parallel-transports the frame through exact degeneracies.
+
+    It runs as a scan over F_i = V_i E_i (V_i the eigh vectors, E_i a label
+    permutation P_i times a block-diagonal unitary). Batched passes over
+    A_i = V_i^dag V_{i-1} give the relative permutations sigma_i, the masked
+    polar factors R_i of A_i and P_i = sigma_i P_{i-1}; then E_i = R_i E_{i-1},
+    the rule above while the block partition stays (polar(M E) = polar(M) E
+    for unitary E). Where it changes, or where the match leaves more than
+    BLOCK_LEAK_TOL of the squared overlap between blocks (sigma_i does not
+    see E_{i-1}), the step is aligned to the real F_{i-1}, and the labels
+    after it compose from its pick. Returns the frames (n, d, d) and the
+    labeled eigenvalue branches (n, d).
     """
-    n = traj.n
-    d = traj.dim
+    n, d = traj.n, traj.dim
     if d > 4:
         raise ValueError(f"eigenframe continuation supports dim <= 4, got dim {d}")
-    frames = np.empty((n, d, d), dtype=complex)
-    branches = np.empty((n, d))
     ws, vs = spectrum(traj.samples, vectors=True)
     ids = _block_ids(ws)
     order = np.argsort(-ws[0], kind="stable")
     v0 = vs[0][:, order]
-    ids0 = ids[0][order]
-    # Inside a degenerate block of rho(t0) eigh's basis is arbitrary; take
-    # the one diagonalizing rho(t1) there (columns nearest eigh's order),
-    # so the frame does not jump when the block splits.
+    # e0 sorts to descending order. Inside a degenerate block of rho(t0)
+    # eigh's basis is arbitrary; take the one diagonalizing rho(t1) there
+    # (columns nearest eigh's order), so the frame does not jump at a split.
+    e0 = np.eye(d, dtype=complex)[:, order]
     for k in range(ids[0, -1] + 1):
-        b = np.flatnonzero(ids0 == k)
+        b = np.flatnonzero(ids[0][order] == k)
         if len(b) > 1:
             _, c = np.linalg.eigh(dag(v0[:, b]) @ traj.samples[1] @ v0[:, b])
-            v0[:, b] = v0[:, b] @ c[:, _best_permutation(np.abs(c) ** 2)]
-    frames[0] = v0
-    branches[0] = ws[0][order]
-    for i in range(1, n):
-        overlap = dag(vs[i]) @ frames[i - 1]
-        perm = _best_permutation(np.abs(overlap.T) ** 2)
-        block = ids[i][perm]
-        # overlap[perm] is (V P)^dag F; keep the entries whose labels share a
-        # block, in it and in its polar factor, where the SVD leaks rounding
-        same = block[:, None] == block
-        aa, _, bb = np.linalg.svd(overlap[perm] * same)
-        frames[i] = vs[i][:, perm] @ ((aa @ bb) * same)
-        branches[i] = ws[i][perm]
-    return frames, branches
+            e0[:, b] = e0[:, b] @ c[:, _best_permutation(np.abs(c) ** 2)]
+    e = np.empty((n, d, d), dtype=complex)  # e[i]: A_i, then R_i, then E_i
+    e[0] = e0
+    np.matmul(dag(vs[1:]), vs[:-1], out=e[1:])
+    score = np.abs(e[1:].transpose(0, 2, 1)) ** 2
+    parts = [slice(k, k + _CHUNK) for k in range(0, n - 1, _CHUNK)]
+    sigma = np.concatenate([_best_permutation(score[part]) for part in parts])
+    blocks = np.take_along_axis(ids[1:], sigma, axis=1)  # the block each column goes to
+    changed = (ids[:-1, :, None] == ids[:-1, None, :]) != (blocks[:, :, None] == blocks[:, None, :])
+    leak = np.sum(score * (blocks[:, :, None] != ids[1:, None, :]), axis=(1, 2))
+    resets = (np.flatnonzero(changed.any(axis=(1, 2)) | (leak > BLOCK_LEAK_TOL)) + 1).tolist()
+    del score
+    for part in parts:
+        e[1:][part] = _aligned(e[1:][part], ids[1:][part], sigma[part])
+    labels = np.vstack([order, sigma])
+    for start, stop in zip([0] + resets, resets + [n]):
+        if start:
+            overlap = dag(vs[start]) @ (vs[start - 1] @ e[start - 1])
+            labels[start] = _best_permutation(np.abs(overlap.T) ** 2)
+            e[start] = _aligned(overlap, ids[start], labels[start])
+        for i in range(start + 1, stop):
+            e[i] = e[i] @ e[i - 1]
+        _compose(labels[start:stop])
+    for part in (slice(k, k + _CHUNK) for k in range(0, n, _CHUNK)):
+        vs[part] = vs[part] @ e[part]
+    return vs, np.take_along_axis(ws, labels, axis=1)
 
 
 def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:

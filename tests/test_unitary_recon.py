@@ -222,23 +222,26 @@ class TestEigenframe:
         assert np.count_nonzero(u[:, rest, 2]) == 0
 
 
-square_scores = st.integers(1, 4).flatmap(
-    lambda k: arrays(np.float64, (k, k), elements=st.floats(-1.0, 1.0))
+score_stacks = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda km: arrays(np.float64, (km[1], km[0], km[0]), elements=st.floats(-1.0, 1.0))
 )
 
 
 @settings(deadline=None, max_examples=300)
-@given(score=square_scores)
-def test_label_matcher_matches_linear_sum_assignment(score):
-    k = len(score)
-    perm = _best_permutation(score)
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    assert sorted(perm.tolist()) == list(range(k))
-    total = score[np.arange(k), perm].sum()
-    assert total == pytest.approx(score[rows, cols].sum(), rel=0, abs=1e-12)
-    totals = sorted(score[np.arange(k), list(p)].sum() for p in permutations(range(k)))
-    if k == 1 or totals[-1] - totals[-2] > 1e-12:
-        np.testing.assert_array_equal(perm, cols)
+@given(stack=score_stacks)
+def test_label_matcher_matches_linear_sum_assignment(stack):
+    k = stack.shape[-1]
+    perms = _best_permutation(stack)
+    assert perms.shape == stack.shape[:-1]
+    for score, perm in zip(stack, perms):
+        np.testing.assert_array_equal(_best_permutation(score), perm)
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        assert sorted(perm.tolist()) == list(range(k))
+        total = score[np.arange(k), perm].sum()
+        assert total == pytest.approx(score[rows, cols].sum(), rel=0, abs=1e-12)
+        totals = sorted(score[np.arange(k), list(p)].sum() for p in permutations(range(k)))
+        if k == 1 or totals[-1] - totals[-2] > 1e-12:
+            np.testing.assert_array_equal(perm, cols)
 
 
 def test_continuation_rejects_dim_above_4():
@@ -298,3 +301,70 @@ def test_continuation_matches_per_block_oracle(seed, kind, slope, cross):
     np.testing.assert_array_equal(seq.u, frame.useq.u)
     round_trip = seq.u @ samples[0] @ dag(seq.u)
     np.testing.assert_allclose(round_trip, samples, rtol=0, atol=1e-12)
+
+
+def _assert_matches_oracle(samples):
+    frames, branches = continue_frames_per_block(samples)
+    frame = eigenframe_decompose(Trajectory(0.0, 0.05, samples))
+    np.testing.assert_allclose(frame.useq.u, frames @ dag(frames[0]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(frame.branches, branches, rtol=0, atol=1e-12)
+    return frames, branches
+
+
+def test_continuation_carries_block_rotation_until_split():
+    # rho(t0) has a 2-fold block that lasts 40 samples while a generic H
+    # turns it, then splits; eigh's basis inside the block is not the
+    # parallel-transported one, so the carried block rotation is what puts
+    # the frame in the right place when the split is aligned
+    rng = np.random.default_rng(3)
+    n, dt, split = 61, 0.05, 40
+    t = dt * np.arange(n)
+    e, w = np.linalg.eigh(random_hermitian(rng))
+    v0, _ = np.linalg.qr(rng.normal(size=(4, 8)).view(complex))
+    flow = np.einsum("ij,tj,kj->tik", w, np.exp(-1j * np.outer(t, e)), w.conj()) @ v0
+    tau = 0.3 * np.maximum(t - t[split], 0.0)
+    gamma = np.stack([0.3 + tau, 0.3 - tau, np.full(n, 0.25), np.full(n, 0.15)], axis=1)
+    samples = (flow * gamma[:, None, :]) @ dag(flow)
+    frames, _ = _assert_matches_oracle(samples)
+    _, vs = np.linalg.eigh(samples[1:split])
+    turn = np.abs(dag(vs[:, :, 2:]) @ frames[1:split, :, :2])  # eigh block vs frame block
+    assert np.max(np.minimum(turn, 1 - turn)) > 0.3
+
+
+def _block_rotation(a, b):
+    r = np.eye(4)
+    r[:2, :2] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    r[2:, 2:] = [[np.cos(b), -np.sin(b)], [np.sin(b), np.cos(b)]]
+    return r
+
+
+def test_continuation_aligns_a_jump_to_the_real_frame():
+    # two 2-fold blocks (split by 2e-13, inside DEGENERACY_TOL, so that
+    # eigh's basis inside them is the one built here) form at sample 4;
+    # the eigh basis then turns inside them while the frame stays put, and
+    # the jump J at sample 10 matches blocks one way on the eigh vectors
+    # and the other way on the frame
+    gap = np.maximum(0.01 * (4 - np.arange(16)), 1e-13)[:, None] * np.array([1, -1, 1, -1])
+    gamma = np.array([0.35, 0.35, 0.15, 0.15]) + gap
+    turn = np.clip(np.arange(16) - 4, 0, 5) / 5
+    frames = np.array([_block_rotation(0.4 * a, 0.6 * a) for a in turn])
+    jump, _ = np.linalg.qr(np.random.default_rng(1649).normal(size=(4, 4)))
+    frames[10:] = jump @ frames[10:] @ frames[9].T
+    samples = (frames * gamma[:, None, :]) @ np.transpose(frames, (0, 2, 1)) + 0j
+    _, branches = _assert_matches_oracle(samples)
+    ws, vs = np.linalg.eigh(samples[9:11])
+    _, cols = linear_sum_assignment(np.abs(dag(vs[1]) @ vs[0]).T ** 2, maximize=True)
+    np.testing.assert_allclose(ws[1][cols], ws[0], atol=1e-12)  # eigh: each pair keeps its value
+    np.testing.assert_allclose(branches[10], [0.15, 0.15, 0.35, 0.35], atol=1e-12)  # frame: they swap
+
+
+def test_continuation_rounding_over_20000_steps():
+    # the scan multiplies 20000 block factors; the EvolutionSequence check
+    # (1e-10) runs inside eigenframe_decompose, and U stays on the oracle
+    rng = np.random.default_rng(7)
+    local = [np.linalg.qr(rng.normal(size=(2, 4)).view(complex))[0] for _ in range(2)]
+    w = np.kron(*local)
+    samples = w @ scenario_example1(2.0).joint(0.0, 10.0 / 20000, 20001).samples @ dag(w)
+    frames, _ = continue_frames_per_block(samples)
+    u = eigenframe_decompose(Trajectory(0.0, 10.0 / 20000, samples)).useq.u
+    assert np.max(np.abs(u - frames @ dag(frames[0]))) <= 1e-11
