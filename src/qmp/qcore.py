@@ -339,7 +339,7 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         k3 = generator(t + half, rho + half * k2)
         k4 = generator(t + dt, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(rho)):
+        if not np.isfinite(rho).all():
             raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
         out[i + 1] = rho
     trace = np.trace(out, axis1=-2, axis2=-1)

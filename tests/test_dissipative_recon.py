@@ -16,6 +16,7 @@ from qmp.unitary_recon import (
     reconstruct_evolution,
 )
 from qmp.dissipative_recon import (
+    _BLOCK,
     _DIAGONAL_COHERENCE,
     _cumulative_trapezoid,
     _nnls,
@@ -477,6 +478,67 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
         for name in ("max_deviation", "max_marginal_a", "max_marginal_b", "trace_drift"):
             assert np.shape(getattr(rep, name)) == (c,)
             assert getattr(rep, name)[j] == pytest.approx(getattr(one, name)[0], rel=0, abs=1e-14)
+
+
+def _per_term_matrix(km):
+    """16x16 matrix of dissipator_per_term on row-major vectorized X, one
+    column per unit matrix: no Kronecker identity, which S(t) relies on."""
+    units = np.eye(16).reshape(16, 4, 4)
+    return np.array([dissipator_per_term(km, e).reshape(16) for e in units]).T
+
+
+def _lab_frame_oracle(h, km, u, t0, step):
+    """-i[h, rho] + U Diss_K[U^dag rho U] U^dag in 4x4 products, with U
+    read from u, which is sampled every step / 2 from t0."""
+    dmat = _per_term_matrix(km)
+
+    def rhs(t, rho):
+        v = u[int(round(2 * (t - t0) / step))]
+        inner = (dmat @ (v.conj().T @ rho @ v).reshape(16)).reshape(4, 4)
+        return -1j * (h @ rho - rho @ h) + v @ inner @ v.conj().T
+
+    return rhs
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    c=st.integers(1, 4),
+    odd=st.booleans(),
+    extra=st.integers(1, _BLOCK // 2 - 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_matches_lab_frame_oracle(c, odd, extra, seed):
+    r = np.random.default_rng(seed)
+    # the RK4 reads U at 2 * steps + 1 grid times: more than two blocks of
+    # lab-frame Liouvillians, ending inside the third
+    steps = (_BLOCK + extra) | 1 if odd else _BLOCK + extra
+    intervals = steps if odd else 2 * steps
+    t0, dt = r.uniform(-1.0, 1.0), 1.0 / intervals
+    z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
+    useq = EvolutionSequence(t0, dt, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
+    # an odd count reads U on the half grid, which has its own test
+    u = useq.half_grid().u if odd else useq.u
+    assert len(u) == 2 * steps + 1 and len(u) > 2 * _BLOCK and len(u) % _BLOCK != 0
+    h = random_hermitian(r)
+    a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
+    kms = 0.01 * a @ a.conj().swapaxes(1, 2)
+    rho0 = random_state(r)
+    # a constant trajectory, so that the deviation is the excursion from rho0
+    traj = Trajectory(t0, dt, np.broadcast_to(rho0, (intervals + 1, 4, 4)))
+    rep = roundtrip_verify(traj, h, [KossakowskiMatrix(km) for km in kms], useq)
+    step = dt if odd else 2 * dt
+    for j, km in enumerate(kms):
+        samples, _, _ = rk4_per_state(_lab_frame_oracle(h, km, u, t0, step), rho0, t0, step, steps)
+        diff = (samples - rho0).reshape(-1, 2, 2, 2, 2)
+        assert rep.max_deviation[j] == pytest.approx(
+            np.linalg.norm(diff.reshape(-1, 16), axis=1).max(), rel=1e-12
+        )
+        assert rep.max_marginal_a[j] == pytest.approx(
+            np.abs(np.einsum("tabcb->tac", diff)).max(), rel=1e-12
+        )
+        assert rep.max_marginal_b[j] == pytest.approx(
+            np.abs(np.einsum("tabad->tbd", diff)).max(), rel=1e-12
+        )
 
 
 def test_affine_generator_validation():

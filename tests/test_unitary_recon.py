@@ -12,6 +12,7 @@ from qmp.bloch import pauli_decompose
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import SIGMA, Trajectory, dag, rk4_integrate
 from qmp.unitary_recon import (
+    _aligned,
     _best_permutation,
     EvolutionSequence,
     eigenframe_decompose,
@@ -220,6 +221,26 @@ class TestEigenframe:
         rest = [0, 1, 3]
         assert np.count_nonzero(u[:, 2, rest]) == 0
         assert np.count_nonzero(u[:, rest, 2]) == 0
+
+
+@pytest.mark.parametrize(
+    "ids, perm",
+    [((0, 0, 1, 1), (2, 1, 3, 0)), ((0, 0, 0, 1), (3, 0, 2, 1)), ((0, 1, 1, 2), (1, 0, 3, 2))],
+)
+def test_aligned_polar_factor_is_exactly_block_patterned(ids, perm):
+    # the SVD of a masked overlap leaks rounding (about 1e-16 to 1e-15)
+    # into the masked entries of its polar factor on most draws, so only
+    # the mask after the SVD keeps them exactly zero
+    ids, perm = np.array(ids), np.array(perm)
+    same = ids[:, None] == ids[perm][None, :]
+    r = np.random.default_rng(0)
+    overlaps = r.normal(size=(16, 4, 4)) + 1j * r.normal(size=(16, 4, 4))
+    stacked = _aligned(overlaps, np.tile(ids, (16, 1)), np.tile(perm, (16, 1)))
+    assert np.count_nonzero(stacked[:, ~same]) == 0
+    eye = np.broadcast_to(np.eye(4), stacked.shape)
+    np.testing.assert_allclose(stacked @ stacked.conj().swapaxes(1, 2), eye, atol=1e-14)
+    for a in overlaps:
+        assert np.count_nonzero(_aligned(a, ids, perm)[~same]) == 0
 
 
 score_stacks = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
