@@ -9,14 +9,12 @@ positivity, and verify round trips by re-integration.
 
 from .qcore import (
     SIGMA,
-    DensityMatrix,
     Trajectory,
     cholesky_psd,
     finite_diff,
     partial_trace,
     rk4_integrate,
     spectrum,
-    tensor,
     trace_power,
     validate_state,
 )
@@ -45,7 +43,6 @@ from .unitary_recon import (
     eigenframe_decompose,
     hamiltonian_from_evolution,
     iwasawa_decompose,
-    orbit_rep,
     reconstruct_evolution,
 )
 from .dissipative_recon import (
@@ -55,11 +52,9 @@ from .dissipative_recon import (
     cp_check,
     d_from_k,
     fit_diagonal_unital,
-    gksl_apply,
     hamiltonian_action,
     integrated_cp_check,
     k_from_d,
-    rotate_dissipator,
     roundtrip_verify,
 )
 from .measures import negativity, partial_transpose, purity

@@ -49,6 +49,8 @@ _LOCAL = 1.0 - _CORRELATION - np.diag([1.0, 0.0, 0.0, 0.0])
 
 # largest imaginary part to_coherence accepts in a Pauli coefficient
 _REAL_TOL = 1e-10
+# largest off-diagonal correlation entry bloch_invariants accepts
+_DIAGONAL_TOL = 1e-10
 
 # sigma_j sigma_x sigma_k, indexed [j, x, k]: the Pauli sandwich of su2_from_so3
 _SANDWICH = np.einsum("jab,xbc,kcd->jxkad", SIGMA, SIGMA, SIGMA)
@@ -197,7 +199,7 @@ def x_form(rho: np.ndarray, tol: float = 1e-10):
     return rho_x, ua, ub
 
 
-def bloch_invariants(v: CoherenceVector, tol: float = 1e-10):
+def bloch_invariants(v: CoherenceVector):
     """The two Bloch-form trace invariants of a diagonal-correlation state.
 
     I1 = |x|^2 + |y|^2 + sum_i z_ii^2 and
@@ -207,10 +209,10 @@ def bloch_invariants(v: CoherenceVector, tol: float = 1e-10):
     state to X form first). A stack gives one (I1, I2) pair of arrays.
     """
     off = _off_diagonal(v.z - v.x[..., :, np.newaxis] * v.y[..., np.newaxis, :])
-    if np.any(off > tol):
+    if np.any(off > _DIAGONAL_TOL):
         raise ValueError(
             f"correlation tensor is not diagonal (off-diagonal {off.max():g})"
-            f"{_first_bad(off > tol)}; apply x_form before computing the invariants"
+            f"{_first_bad(off > _DIAGONAL_TOL)}; apply x_form before computing the invariants"
         )
     zd = np.diagonal(v.z, axis1=-2, axis2=-1)
     i1 = (v.x * v.x).sum(-1) + (v.y * v.y).sum(-1) + (zd * zd).sum(-1)

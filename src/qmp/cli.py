@@ -152,11 +152,11 @@ def _field(doc: dict, name: str, kind):
         raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
 
 
-def trajectory_from_dict(doc: dict, strict: bool = True) -> Trajectory:
+def trajectory_from_dict(doc: dict) -> Trajectory:
     """Decode a trajectory document; any schema violation exits 4.
 
-    With ``strict`` every sample must also be a density matrix within
-    STATE_TOL (exit 2 naming the first sample that is not).
+    Every sample must also be a density matrix within STATE_TOL (exit 2
+    naming the first sample that is not).
     """
     dim, n = _field(doc, "dim", operator.index), _field(doc, "n", operator.index)
     t0, dt = _field(doc, "t0", float), _field(doc, "dt", float)
@@ -180,11 +180,10 @@ def trajectory_from_dict(doc: dict, strict: bool = True) -> Trajectory:
         traj = Trajectory(t0, dt, samples)
     except ValueError as exc:
         raise CliError(f"malformed trajectory file: {exc}", EXIT_PARSE)
-    if strict:
-        bad = np.flatnonzero(~validate_state(traj.samples, STATE_TOL).ok)
-        if bad.size:
-            rep = validate_state(traj.samples[bad[0]], STATE_TOL)
-            raise CliError(f"sample {bad[0]} is not a valid state: {rep}", EXIT_INVALID)
+    bad = np.flatnonzero(~validate_state(traj.samples, STATE_TOL).ok)
+    if bad.size:
+        rep = validate_state(traj.samples[bad[0]], STATE_TOL)
+        raise CliError(f"sample {bad[0]} is not a valid state: {rep}", EXIT_INVALID)
     return traj
 
 
@@ -193,7 +192,7 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
     _atomic_write(path, json.dumps(trajectory_to_dict(traj, params), separators=(",", ":")))
 
 
-def load_trajectory(path: str, strict: bool = True) -> Trajectory:
+def load_trajectory(path: str) -> Trajectory:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -203,7 +202,7 @@ def load_trajectory(path: str, strict: bool = True) -> Trajectory:
         # ValueError covers JSONDecodeError, undecodable bytes and an
         # integer literal past the int-to-str digit limit
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE)
-    return trajectory_from_dict(doc, strict=strict)
+    return trajectory_from_dict(doc)
 
 
 def _write_csv(path: str, header: list, table: np.ndarray):

@@ -8,9 +8,9 @@ Pauli-product basis lambda_k = G_k,
 and has one representation in this module: the 16x16 Liouvillian L_K
 acting on row-major vectorized operators, vec(X) = X.reshape(16), for
 which vec(A X B) = (A kron B^T) vec(X). ``KossakowskiMatrix.liouvillian``
-builds L_K once from K; applying the dissipator, its affine picture
-r_dot = D r + l on the 15-component coherence vector and the
-frame-rotated dissipator are all products with that one matrix.
+builds L_K once from K; the affine picture r_dot = D r + l on the
+15-component coherence vector and the round trip's generator are both
+products with that one matrix.
 
 The round trip's generator, Hamiltonian part included, is one lab-frame
 Liouvillian per grid time, L(t) = L_h + S(t) L_K S(t)^dag with
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -60,15 +59,11 @@ __all__ = [
     "generator_residual",
     "anticommutation_table",
     "fit_diagonal_unital",
-    "diagonal_fit_residual",
     "candidate_diagonals",
     "k_from_d",
     "d_from_k",
     "cp_check",
     "integrated_cp_check",
-    "dissipator_apply",
-    "gksl_apply",
-    "rotate_dissipator",
     "roundtrip_verify",
 ]
 
@@ -193,11 +188,14 @@ _DIAGONAL_COHERENCE = np.diagonal(traceless_basis(), axis1=1, axis2=2).real.T.co
 _DIAGONAL_COHERENCE.setflags(write=False)
 
 
-def fit_diagonal_unital(branches: np.ndarray, dt: float, active_tol: float = 1e-10) -> DiagonalFit:
+_ACTIVE_TOL = 1e-10
+
+
+def fit_diagonal_unital(branches: np.ndarray, dt: float) -> DiagonalFit:
     """Fit r_dot = diag(d) r on the coherence vector of the diagonal
     states diag(branches(t)), an (n, 4) series sampled every ``dt``.
 
-    Components with |r_k| below ``active_tol`` everywhere carry no
+    Components with |r_k| at most ``_ACTIVE_TOL`` everywhere carry no
     information and are reported as free; each active component gets its
     least-squares constant rate. The offset l is fixed to zero (unital
     ansatz).
@@ -205,8 +203,8 @@ def fit_diagonal_unital(branches: np.ndarray, dt: float, active_tol: float = 1e-
     r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
     rdot = diff_series(r, dt)
     amp = np.max(np.abs(r), axis=0)
-    active = tuple(int(i) for i in np.flatnonzero(amp > active_tol))
-    free = tuple(int(i) for i in np.flatnonzero(amp <= active_tol))
+    active = tuple(int(i) for i in np.flatnonzero(amp > _ACTIVE_TOL))
+    free = tuple(int(i) for i in np.flatnonzero(amp <= _ACTIVE_TOL))
     d = np.zeros(15)
     res = 0.0
     for k in active:
@@ -215,15 +213,11 @@ def fit_diagonal_unital(branches: np.ndarray, dt: float, active_tol: float = 1e-
     return DiagonalFit(d, active, free, res)
 
 
-def diagonal_fit_residual(branches: np.ndarray, dt: float, d_diag) -> float:
-    """Worst misfit of a given constant diagonal rate vector."""
-    d_diag = np.asarray(d_diag, dtype=float).reshape(15)
-    r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
-    rdot = diff_series(r, dt)
-    return float(np.max(np.abs(rdot - d_diag[np.newaxis, :] * r)))
+# relative misfit of the round trip D -> K -> D that k_from_d accepts
+_K_FROM_D_TOL = 1e-10
 
 
-def k_from_d(d_diag, tol: float = 1e-10) -> KossakowskiMatrix:
+def k_from_d(d_diag) -> KossakowskiMatrix:
     """Unique diagonal Kossakowski matrix reproducing a diagonal D.
 
     Solves -2 B k = d for the diagonal entries k, where B is the basis
@@ -234,21 +228,9 @@ def k_from_d(d_diag, tol: float = 1e-10) -> KossakowskiMatrix:
     b = anticommutation_table()
     k = np.linalg.solve(-2.0 * b, d_diag)
     back = -2.0 * b @ k
-    if np.max(np.abs(back - d_diag)) > tol * max(1.0, float(np.abs(d_diag).max())):
+    if np.max(np.abs(back - d_diag)) > _K_FROM_D_TOL * max(1.0, float(np.abs(d_diag).max())):
         raise ValueError("no diagonal Kossakowski matrix matches this D")
     return KossakowskiMatrix.from_diagonal(k)
-
-
-def _liouville_apply(lk: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L vec(X) for a (..., 16, 16) L and a (..., 4, 4) X, broadcast."""
-    y = lk @ x.reshape(x.shape[:-2] + (16, 1))
-    return y.reshape(y.shape[:-2] + (4, 4))
-
-
-def dissipator_apply(k: KossakowskiMatrix, x: np.ndarray) -> np.ndarray:
-    """The dissipator sum_ij K_ij (G_i X G_j - 1/2 {G_j G_i, X}) of a
-    4x4 X or of each of a (..., 4, 4) stack."""
-    return _liouville_apply(k.liouvillian, np.asarray(x, dtype=complex))
 
 
 def d_from_k(k: KossakowskiMatrix) -> AffineGenerator:
@@ -269,10 +251,11 @@ class CpReport:
     tol: float
 
 
-def cp_check(k: KossakowskiMatrix, tol: float = PSD_EIG_TOL) -> CpReport:
-    """GKSL validity: the generator is CP-divisible iff K is PSD."""
+def cp_check(k: KossakowskiMatrix) -> CpReport:
+    """GKSL validity: the generator is CP-divisible iff K is PSD
+    (its lowest eigenvalue at least -PSD_EIG_TOL)."""
     w = k.spectrum()
-    return CpReport(bool(w[0] >= -tol), float(w[0]), tol)
+    return CpReport(bool(w[0] >= -PSD_EIG_TOL), float(w[0]), PSD_EIG_TOL)
 
 
 @dataclass(frozen=True)
@@ -309,6 +292,9 @@ def integrated_cp_check(
 
 _NNLS_TOL = 1e-12  # relative to the rounding scale of each test
 _NNLS_MAX_ITER = 100
+# how far a completion may miss the fitted active rates, and how negative
+# a single K entry may be before it is rejected
+_CANDIDATE_TOL = 1e-8
 
 
 def _nnls(a: np.ndarray, b: np.ndarray):
@@ -336,7 +322,7 @@ def _nnls(a: np.ndarray, b: np.ndarray):
     raise ValueError(f"nnls did not converge in {_NNLS_MAX_ITER} iterations")
 
 
-def candidate_diagonals(fit: DiagonalFit, tol: float = 1e-8):
+def candidate_diagonals(fit: DiagonalFit):
     """Complete a partially determined diagonal D to full rate vectors.
 
     The fit only pins the rates on its active components; the free ones
@@ -372,39 +358,30 @@ def candidate_diagonals(fit: DiagonalFit, tol: float = 1e-8):
                 kappa = 0.0
             else:
                 kappa = float(col @ d_active / denom)
-            if kappa < -tol:
+            if kappa < -_CANDIDATE_TOL:
                 continue
-            if np.max(np.abs(col * kappa - d_active)) < tol:
+            if np.max(np.abs(col * kappa - d_active)) < _CANDIDATE_TOL:
                 kvec = np.zeros(15)
                 kvec[j] = max(kappa, 0.0)
                 push(f"single:{j + 1}", -2.0 * b @ kvec)
         kvec, rnorm = _nnls(a, d_active)
-        if rnorm < tol:
+        if rnorm < _CANDIDATE_TOL:
             push("nnls", -2.0 * b @ kvec)
-    return out
-
-
-def gksl_apply(h: np.ndarray, k: Optional[KossakowskiMatrix], rho: np.ndarray) -> np.ndarray:
-    """Full master-equation right-hand side -i[H, rho] + Diss_K[rho];
-    ``h`` and ``rho`` may be (..., 4, 4) stacks, broadcast together."""
-    h = np.asarray(h, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = -1j * (h @ rho - rho @ h)
-    if k is not None:
-        out = out + dissipator_apply(k, rho)
     return out
 
 
 # grid times per block of lab-frame Liouvillians in roundtrip_verify: 256
 # (1 MB per candidate) ran as fast as 64, while 1024 and 4096 were slower
 _BLOCK = 256
+# how far (in time) an RK4 stage may sit from a sample of the unitary grid
+_GRID_TOL = 1e-9
 
 
-def _grid_index(useq: EvolutionSequence, t: float, tol: float = 1e-9) -> int:
+def _grid_index(useq: EvolutionSequence, t: float) -> int:
     """Sample index of time t on the sequence grid; off-grid times raise."""
     idx = (t - useq.t0) / useq.dt
     i = int(round(idx))
-    if abs(idx - i) > tol / useq.dt or not 0 <= i < useq.n:
+    if abs(idx - i) > _GRID_TOL / useq.dt or not 0 <= i < useq.n:
         raise ValueError(f"time {t:g} is not on the unitary grid")
     return i
 
@@ -415,24 +392,6 @@ def _lab_frame(lk: np.ndarray, u: np.ndarray) -> np.ndarray:
     vec(U X U^dag) = S vec(X) and S L_K S^dag vec(X) = vec(U Diss[U^dag X U] U^dag)."""
     s = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 1, 16, 16)
     return s @ lk @ s.conj().swapaxes(-1, -2)
-
-
-def rotate_dissipator(ks, useq: EvolutionSequence, tol: float = 1e-9):
-    """Lab-frame applier of c diagonal-frame dissipators.
-
-    Returns a callable (t, rho) -> U_t Diss_Kj[U_t^dag rho U_t] U_t^dag
-    with U_t looked up once per call on the sequence grid; off-grid
-    times are rejected. The c Liouvillians are stacked once as
-    (c, 16, 16): state j of a (c, 4, 4) stack gets dissipator j, and one
-    4x4 rho gets all c, as a (c, 4, 4) stack.
-    """
-    lk = np.stack([k.liouvillian for k in ks])
-
-    def apply(t: float, rho: np.ndarray) -> np.ndarray:
-        i = _grid_index(useq, t, tol)
-        return _liouville_apply(_lab_frame(lk, useq.u[i : i + 1])[0], rho)
-
-    return apply
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,11 @@ def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport
     return IsospectralReport(dist < tol, dist, tol)
 
 
-def _fixed_eigenbasis_branches(traj: Trajectory, basis_tol: float = 1e-8):
+# largest off-diagonal entry of a marginal in its fixed eigenbasis
+_BASIS_TOL = 1e-8
+
+
+def _fixed_eigenbasis_branches(traj: Trajectory):
     """Eigenvalue branches of a trajectory diagonal in one fixed basis.
 
     Finds the eigenbasis at the sample with the largest gap, orders its
@@ -141,7 +145,7 @@ def _fixed_eigenbasis_branches(traj: Trajectory, basis_tol: float = 1e-8):
     v = v[:, ::-1]  # descending eigenvalue at the reference time
     m = dag(v) @ traj.samples @ v
     off = np.abs(m[:, 0, 1])
-    bad = np.flatnonzero(off > basis_tol)
+    bad = np.flatnonzero(off > _BASIS_TOL)
     if bad.size:
         raise ValueError(
             "marginal is not diagonal in a fixed basis "
@@ -150,7 +154,7 @@ def _fixed_eigenbasis_branches(traj: Trajectory, basis_tol: float = 1e-8):
     return m.diagonal(axis1=1, axis2=2).real
 
 
-def _refined_extremum(t: np.ndarray, f: np.ndarray) -> float:
+def _refined_extremum(f: np.ndarray) -> float:
     """Max of |f| on the grid, sharpened by a local quadratic fit."""
     i = int(np.argmax(np.abs(f)))
     best = abs(f[i])
@@ -164,7 +168,7 @@ def _refined_extremum(t: np.ndarray, f: np.ndarray) -> float:
     return float(best)
 
 
-def unitary_window(pair: MarginalPair, basis_tol: float = 1e-8) -> WindowReport:
+def unitary_window(pair: MarginalPair) -> WindowReport:
     """Admissible interval for c = rho11 + rho44 of the two-coherence ansatz.
 
     With labeled eigenvalue branches alpha_i, beta_i of the marginals,
@@ -174,13 +178,12 @@ def unitary_window(pair: MarginalPair, basis_tol: float = 1e-8) -> WindowReport:
 
     Extrema are evaluated on the grid with local quadratic refinement.
     """
-    a = _fixed_eigenbasis_branches(pair.rho_a, basis_tol)
-    b = _fixed_eigenbasis_branches(pair.rho_b, basis_tol)
-    t = pair.rho_a.times
+    a = _fixed_eigenbasis_branches(pair.rho_a)
+    b = _fixed_eigenbasis_branches(pair.rho_b)
     g1 = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
     g2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    c_lo = _refined_extremum(t, g1)
-    c_hi = 1.0 - _refined_extremum(t, g2)
+    c_lo = _refined_extremum(g1)
+    c_hi = 1.0 - _refined_extremum(g2)
     d1 = d2 = None
     if c_lo <= c_hi + 1e-12:
         c_mid = 0.5 * (c_lo + c_hi)

@@ -17,12 +17,10 @@ __all__ = [
     "SIGMA",
     "PSD_EIG_TOL",
     "CHOLESKY_PIVOT_TOL",
-    "DensityMatrix",
     "Trajectory",
     "StateReport",
     "IntegrationResult",
     "dag",
-    "tensor",
     "partial_trace",
     "validate_state",
     "cholesky_psd",
@@ -101,27 +99,6 @@ class StateReport:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A validated state: Hermitian, unit trace, PSD within ``tol``."""
-
-    mat: np.ndarray
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        m = _as_square(self.mat, "density matrix")
-        if m.ndim != 2:
-            raise ValueError(f"a DensityMatrix holds one matrix, got shape {m.shape}")
-        object.__setattr__(self, "mat", m)
-        report = validate_state(m, self.tol)
-        if not report.ok:
-            raise ValueError(f"not a valid density matrix: {report}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled matrix-valued time series.
 
@@ -157,15 +134,6 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.n)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (first factor varies slowest)."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("tensor expects two 2x2 matrices")
-    return np.kron(a, b)
-
-
 def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     """Trace a 4x4 operator, or each of a (..., 4, 4) stack, over one factor.
 
@@ -195,12 +163,13 @@ def validate_state(rho: np.ndarray, tol: float = 1e-9) -> StateReport:
     return StateReport(herm, _per_matrix(trace), _per_matrix(w[..., 0]), tol)
 
 
-def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
+def cholesky_psd(rho: np.ndarray):
     """Cholesky factor of a Hermitian PSD matrix, or None if not PSD.
 
     Returns a lower-triangular L with rho = L L^dag and non-negative real
-    diagonal. A pivot below -pivot_tol, or a non-trivial column under a
-    vanishing pivot, certifies a negative direction and yields None.
+    diagonal. A pivot below -CHOLESKY_PIVOT_TOL (relative to the matrix
+    scale), or a non-trivial column under a vanishing pivot, certifies a
+    negative direction and yields None.
     """
     rho = _as_square(rho, "rho")
     if rho.ndim != 2:
@@ -211,9 +180,9 @@ def cholesky_psd(rho: np.ndarray, pivot_tol: float = CHOLESKY_PIVOT_TOL):
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
         d = float((rho[j, j] - np.vdot(L[j, :j], L[j, :j])).real)
-        if d < -pivot_tol * scale:
+        if d < -CHOLESKY_PIVOT_TOL * scale:
             return None
-        if d <= pivot_tol * scale:
+        if d <= CHOLESKY_PIVOT_TOL * scale:
             # Zero pivot: the rest of the column must vanish too.
             col = rho[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()
             if col.size and np.max(np.abs(col)) > 1e-5 * scale:
@@ -316,14 +285,12 @@ class IntegrationResult:
 def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> IntegrationResult:
     """Classic fixed-step RK4 for d(rho)/dt = generator(t, rho).
 
-    ``rho0`` is a DensityMatrix, one (d, d) matrix or a (c, d, d) stack
-    of c states integrated together: ``generator`` gets and returns the
-    whole stack, once per RK4 stage. Returns the n_steps + 1 samples
-    with the trace and Hermiticity drift of every state relative to its
-    initial one; a step with a non-finite entry in any state raises.
+    ``rho0`` is one (d, d) matrix or a (c, d, d) stack of c states
+    integrated together: ``generator`` gets and returns the whole stack,
+    once per RK4 stage. Returns the n_steps + 1 samples with the trace
+    and Hermiticity drift of every state relative to its initial one; a
+    step with a non-finite entry in any state raises.
     """
-    if isinstance(rho0, DensityMatrix):
-        rho0 = rho0.mat
     rho = _as_square(rho0, "rho0")
     if rho.ndim > 3:
         raise ValueError(f"rho0 must be one matrix or a (c, d, d) stack, got shape {rho.shape}")

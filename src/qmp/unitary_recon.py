@@ -22,11 +22,9 @@ import numpy as np
 from .qcore import Trajectory, dag, diff_series, hermiticity_defect, spectrum
 
 __all__ = [
-    "OrbitSpec",
     "EvolutionSequence",
     "EigenframeResult",
     "HamiltonianResult",
-    "orbit_rep",
     "iwasawa_decompose",
     "reconstruct_evolution",
     "eigenframe_decompose",
@@ -39,49 +37,23 @@ SPECTRUM_DRIFT_TOL = 1e-8
 # a clean step leaves its squared rotation angle, a wrong match above 0.7
 BLOCK_LEAK_TOL = 0.25
 _CHUNK = 4096  # samples per batched pass, which bounds its temporaries
+# how far det z may be from 1, and (times 100) u from unitary, in iwasawa_decompose
+IWASAWA_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    """Spectrum data labeling the unitary orbit of a state.
-
-    ``gamma`` holds the eigenvalues in descending order; ``partition``
-    groups indices of equal eigenvalues (at tolerance 1e-9). The orbit
-    dimension is n^2 - sum(m_i^2) over the multiplicities, which gives
-    n(n-1) for a nondegenerate spectrum, 2(n-1) for a pure state and 0
-    for the maximally mixed state.
-    """
-
-    gamma: np.ndarray
-    partition: tuple
-
-    @property
-    def dimension(self) -> int:
-        n = len(self.gamma)
-        return n * n - sum(len(b) ** 2 for b in self.partition)
-
-
-def orbit_rep(rho: np.ndarray, tol: float = DEGENERACY_TOL) -> OrbitSpec:
-    """Descending spectrum and degeneracy structure of a state."""
-    w = spectrum(np.asarray(rho, dtype=complex))
-    ids = _block_ids(w, tol)[::-1]  # descending order, so the ids count down
-    blocks = (tuple(np.flatnonzero(ids == k).tolist()) for k in range(ids[0], -1, -1))
-    return OrbitSpec(w[::-1], tuple(blocks))
-
-
-def iwasawa_decompose(z: np.ndarray, tol: float = 1e-10):
+def iwasawa_decompose(z: np.ndarray):
     """Factor an invertible matrix as z = u a r.
 
     u is unitary, a positive diagonal with det a = 1, and r unit
     upper-triangular, obtained from the Cholesky factorization of
     z^dag z = r^dag a^2 r. The input must have unit determinant within
-    ``tol`` (rescale first otherwise).
+    IWASAWA_TOL (rescale first otherwise).
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("z must be square")
     det = np.linalg.det(z)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > IWASAWA_TOL:
         raise ValueError(f"det z = {det:g}; rescale to unit determinant first")
     g = dag(z) @ z
     try:
@@ -92,7 +64,7 @@ def iwasawa_decompose(z: np.ndarray, tol: float = 1e-10):
     a = np.diag(d.astype(complex))
     r = dag(low / d[np.newaxis, :])  # unit upper-triangular
     u = z @ np.linalg.inv(r) @ np.diag(1.0 / d)
-    if np.max(np.abs(u @ dag(u) - np.eye(len(d)))) > 100 * tol:
+    if np.max(np.abs(u @ dag(u) - np.eye(len(d)))) > 100 * IWASAWA_TOL:
         raise ValueError("factorization failed to produce a unitary factor")
     return u, a, r
 
@@ -170,11 +142,12 @@ def _best_permutation(score: np.ndarray) -> np.ndarray:
     return flat[totals.argmax(axis=-1)] % k
 
 
-def _block_ids(ws: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def _block_ids(ws: np.ndarray) -> np.ndarray:
     """Degeneracy block of every eigenvalue of ascending spectra, shape
-    (..., d): ids count up from 0, a new block starting at each gap above tol."""
+    (..., d): ids count up from 0, a new block starting at each gap above
+    DEGENERACY_TOL."""
     ids = np.zeros(ws.shape, dtype=int)
-    np.cumsum(np.diff(ws, axis=-1) > tol, axis=-1, out=ids[..., 1:])
+    np.cumsum(np.diff(ws, axis=-1) > DEGENERACY_TOL, axis=-1, out=ids[..., 1:])
     return ids
 
 

@@ -5,7 +5,8 @@ These deliberately take different routes than the production code
 over the Kossakowski matrix, eigenvalue tests instead of Cholesky
 pivots, one RK4 loop per state instead of one over a stack, a phase
 fix per eigenvector and an SVD per degenerate block instead of one
-masked polar factor per step) so that agreement between the two is
+masked polar factor per step, np.gradient instead of the package's
+difference stencil) so that agreement between the two is
 meaningful. Nothing here imports qmp.dissipative_recon,
 qmp.unitary_recon or qmp.qcore.rk4_integrate.
 """
@@ -71,6 +72,13 @@ def affine_from_superoperator(s):
     image = (s @ np.eye(4, dtype=complex).reshape(-1)).reshape(4, 4)
     l = np.einsum("jab,ba->j", g, image).real / 4.0
     return d, l
+
+
+def diagonal_rate_misfit(branches, dt, d_diag):
+    """max |r_dot - d r| of constant rates d on the coherence vectors of
+    the diagonal states diag(branches(t)), with np.gradient's stencil."""
+    r = np.einsum("kii,ni->nk", traceless_basis(), branches).real
+    return np.max(np.abs(np.gradient(r, dt, axis=0, edge_order=2) - d_diag * r))
 
 
 def rk4_per_state(generator, rho0, t0, dt, n_steps):

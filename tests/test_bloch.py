@@ -19,7 +19,7 @@ from qmp.bloch import (
     x_form,
 )
 from qmp.kinematics import scenario_example1, scenario_example3
-from qmp.qcore import SIGMA, dag, tensor
+from qmp.qcore import SIGMA, dag
 
 from _oracles import random_hermitian, random_state
 
@@ -53,7 +53,7 @@ class TestCoherence:
     def test_product_state_components(self):
         a = random_state(rng, 2)
         b = random_state(rng, 2)
-        v = to_coherence(tensor(a, b))
+        v = to_coherence(np.kron(a, b))
         xa = np.array([np.trace(a @ SIGMA[i]).real for i in (1, 2, 3)])
         yb = np.array([np.trace(b @ SIGMA[i]).real for i in (1, 2, 3)])
         np.testing.assert_allclose(v.x, xa, atol=1e-12)
@@ -73,7 +73,7 @@ class TestCoherence:
 
 class TestCorrelation:
     def test_vanishes_on_products(self):
-        zt = correlation_tensor(tensor(random_state(rng, 2), random_state(rng, 2)))
+        zt = correlation_tensor(np.kron(random_state(rng, 2), random_state(rng, 2)))
         np.testing.assert_allclose(zt, 0, atol=1e-12)
 
     def test_oscillating_joint_state_structure(self):

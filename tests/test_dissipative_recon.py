@@ -19,6 +19,8 @@ from qmp.dissipative_recon import (
     _BLOCK,
     _DIAGONAL_COHERENCE,
     _cumulative_trapezoid,
+    _grid_index,
+    _lab_frame,
     _nnls,
     AffineGenerator,
     KossakowskiMatrix,
@@ -26,20 +28,17 @@ from qmp.dissipative_recon import (
     candidate_diagonals,
     cp_check,
     d_from_k,
-    diagonal_fit_residual,
-    dissipator_apply,
     fit_diagonal_unital,
     generator_residual,
-    gksl_apply,
     hamiltonian_action,
     integrated_cp_check,
     k_from_d,
-    rotate_dissipator,
     roundtrip_verify,
 )
 
 from _oracles import (
     affine_from_superoperator,
+    diagonal_rate_misfit,
     dissipator_per_term,
     dissipator_superoperator,
     random_hermitian,
@@ -63,6 +62,11 @@ def choice2_rates(gamma=GAMMA):
     d = np.zeros(15)
     d[7:] = -gamma  # generators 8..15
     return d
+
+
+def dissipate(k, x):
+    """Diss_K[X] of a 4x4 X, as the product of K's Liouvillian with vec(X)."""
+    return (k.liouvillian @ x.reshape(16)).reshape(4, 4)
 
 
 class TestHamiltonianAction:
@@ -153,7 +157,7 @@ class TestFit:
         assert fit.d_diag[14] == pytest.approx(-GAMMA, abs=1e-6)
         assert fit.residual < 1e-6
         # the sparser rate assignment fits the same data equally well
-        assert diagonal_fit_residual(frame.branches, traj.dt, choice1_rates()) < 1e-6
+        assert diagonal_rate_misfit(frame.branches, traj.dt, choice1_rates()) < 1e-6
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -236,36 +240,30 @@ unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 def test_liouvillian_matches_per_term_oracle(a, x, d):
     km = (a[0] + a[0].T) + 1j * (a[1] - a[1].T)
     xc = x[0] + 1j * x[1]
-    got = dissipator_apply(KossakowskiMatrix(km), xc)
+    got = dissipate(KossakowskiMatrix(km), xc)
     np.testing.assert_allclose(got, dissipator_per_term(km, xc), rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.diag(d_from_k(k_from_d(d)).d), d, rtol=0, atol=1e-12)
 
 
 class TestGksl:
-    def test_pure_commutator_when_k_zero(self):
-        h = random_hermitian(rng)
-        rho = random_state(rng)
-        out = gksl_apply(h, None, rho)
-        np.testing.assert_allclose(out, -1j * (h @ rho - rho @ h), atol=1e-14)
-
     def test_bit_flip_dissipator_on_ground_state(self):
         k = k_from_d(choice2_rates())
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         x1 = np.kron([[0, 1], [1, 0]], np.eye(2))
         expect = (GAMMA / 2) * (x1 @ rho @ x1 - rho)
-        np.testing.assert_allclose(gksl_apply(np.zeros((4, 4)), k, rho), expect, atol=1e-14)
+        np.testing.assert_allclose(dissipate(k, rho), expect, atol=1e-14)
 
     def test_traceless_hermitian_output(self):
         km = KossakowskiMatrix(random_hermitian(rng, 15))
         rho = random_state(rng)
-        out = dissipator_apply(km, rho)
+        out = dissipate(km, rho)
         assert abs(np.trace(out)) < 1e-12
         np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
     def test_unital_fixed_point(self):
         km = KossakowskiMatrix(random_hermitian(rng, 15))
-        out = dissipator_apply(km, np.eye(4, dtype=complex) / 4)
+        out = dissipate(km, np.eye(4, dtype=complex) / 4)
         gen = d_from_k(km)
         if gen.unital:
             np.testing.assert_allclose(out, 0, atol=1e-12)
@@ -276,7 +274,7 @@ class TestGksl:
         h = random_hermitian(rng)
 
         def rhs(t, rho):
-            return gksl_apply(h, km, rho)
+            return -1j * (h @ rho - rho @ h) + dissipate(km, rho)
 
         for _ in range(5):
             res = rk4_integrate(rhs, random_state(rng), 0.0, 1e-2, 300)
@@ -376,19 +374,19 @@ class TestCandidates:
 
 class TestRotateAndRoundtrip:
     def test_identity_sequence_is_direct_application(self):
-        k = k_from_d(choice2_rates())
-        u = np.array([np.eye(4, dtype=complex)] * 5)
-        seq = EvolutionSequence(0.0, 0.1, u)
-        apply = rotate_dissipator([k], seq)
-        rho = random_state(rng)
-        np.testing.assert_allclose(apply(0.2, rho)[0], dissipator_apply(k, rho), atol=1e-13)
+        lk = k_from_d(choice2_rates()).liouvillian
+        lab = _lab_frame(lk[np.newaxis], np.array([np.eye(4, dtype=complex)] * 5))
+        assert lab.shape == (5, 1, 16, 16)
+        np.testing.assert_allclose(lab[:, 0], np.broadcast_to(lk, (5, 16, 16)), atol=1e-13)
 
     def test_off_grid_time_rejected(self):
-        k = k_from_d(choice2_rates())
         u = np.array([np.eye(4, dtype=complex)] * 5)
         seq = EvolutionSequence(0.0, 0.1, u)
+        assert _grid_index(seq, 0.2) == 2
         with pytest.raises(ValueError, match="grid"):
-            rotate_dissipator([k], seq)(0.25, random_state(rng))
+            _grid_index(seq, 0.25)
+        with pytest.raises(ValueError, match="grid"):
+            _grid_index(seq, 0.5)
 
     def test_rotated_dissipator_matches_residual(self):
         j, dt = 2.0, 5e-4
@@ -397,12 +395,10 @@ class TestRotateAndRoundtrip:
         g = traceless_basis()
         h = (3 * j / 8) * (g[4] - g[9])
         res = generator_residual(traj, Trajectory(0.0, dt, np.array([h] * 2001)))
-        apply = rotate_dissipator([k_from_d(choice2_rates())], frame.useq)
-        worst = 0.0
-        for i in range(1, 2000, 53):
-            t = traj.t0 + i * traj.dt
-            worst = max(worst, np.max(np.abs(apply(t, traj.samples[i])[0] - res.samples[i])))
-        assert worst < 1e-6
+        idx = np.arange(1, 2000, 53)
+        lab = _lab_frame(k_from_d(choice2_rates()).liouvillian[np.newaxis], frame.useq.u[idx])
+        diss = (lab[:, 0] @ traj.samples[idx].reshape(-1, 16, 1)).reshape(-1, 4, 4)
+        assert np.max(np.abs(diss - res.samples[idx])) < 1e-6
 
     def test_unitary_roundtrip(self):
         j = 2.0
@@ -450,14 +446,16 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
     # any matrices: non-Hermitian, with unequal traces, so that every
     # state has its own trace and Hermiticity drift
     rho0 = r.normal(size=(c, 4, 4)) + 1j * r.normal(size=(c, 4, 4))
-    diss = rotate_dissipator(ks, useq)
+    # the generator of state j at grid time i: -i[h_j, .] + U_i Diss_Kj[U_i^dag . U_i] U_i^dag
+    eye = np.eye(4)
+    lh = -1j * (np.kron(hs, eye) - np.kron(eye, hs.swapaxes(1, 2)))
+    gen = _lab_frame(np.stack([k.liouvillian for k in ks]), useq.u) + lh
 
     def stacked(t, rho):
-        return gksl_apply(hs, None, rho) + diss(t, rho)
+        return (gen[_grid_index(useq, t)] @ rho.reshape(c, 16, 1)).reshape(c, 4, 4)
 
     def single(j):
-        dj = rotate_dissipator([ks[j]], useq)
-        return lambda t, rho: gksl_apply(hs[j], None, rho) + dj(t, rho)[0]
+        return lambda t, rho: (gen[_grid_index(useq, t), j] @ rho.reshape(16)).reshape(4, 4)
 
     res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
     assert res.samples.shape == (n_steps + 1, c, 4, 4)

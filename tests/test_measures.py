@@ -3,7 +3,7 @@ import pytest
 
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.measures import negativity, partial_transpose, purity
-from qmp.qcore import spectrum, tensor
+from qmp.qcore import spectrum
 
 from _oracles import random_state
 
@@ -39,7 +39,7 @@ class TestPurity:
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self):
-        rho = tensor(random_state(rng, 2), random_state(rng, 2))
+        rho = np.kron(random_state(rng, 2), random_state(rng, 2))
         for sub in ("A", "B"):
             w = spectrum(partial_transpose(rho, sub))
             assert w[0] >= -1e-12
@@ -62,7 +62,7 @@ class TestPartialTranspose:
 class TestNegativity:
     def test_product_states(self):
         for _ in range(10):
-            rho = tensor(random_state(rng, 2), random_state(rng, 2))
+            rho = np.kron(random_state(rng, 2), random_state(rng, 2))
             assert negativity(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):

@@ -8,7 +8,6 @@ from qmp.bloch import pauli_decompose
 from qmp.measures import negativity, partial_transpose, purity
 from qmp.qcore import (
     SIGMA,
-    DensityMatrix,
     StateReport,
     Trajectory,
     cholesky_psd,
@@ -19,7 +18,6 @@ from qmp.qcore import (
     partial_trace,
     rk4_integrate,
     spectrum,
-    tensor,
     trace_power,
     validate_state,
 )
@@ -30,18 +28,6 @@ rng = np.random.default_rng(20240824)
 
 
 class TestStates:
-    def test_density_matrix_accepts_valid(self):
-        rho = DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0]))
-        assert rho.dim == 4
-
-    def test_density_matrix_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_density_matrix_rejects_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
-
     def test_validate_reports_defects(self):
         rep = validate_state(np.diag([0.9, 0.2]))
         assert not rep.ok
@@ -61,7 +47,7 @@ class TestTensorAndTrace:
         for _ in range(10):
             a = random_state(rng, 2)
             b = random_state(rng, 2)
-            rho = tensor(a, b)
+            rho = np.kron(a, b)
             np.testing.assert_allclose(partial_trace(rho, "B"), a, atol=1e-14)
             np.testing.assert_allclose(partial_trace(rho, "A"), b, atol=1e-14)
 
@@ -73,10 +59,6 @@ class TestTensorAndTrace:
     def test_bad_subsystem_label(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, "C")
-
-    def test_tensor_requires_2x2(self):
-        with pytest.raises(ValueError):
-            tensor(np.eye(4), np.eye(2))
 
 
 class TestCholesky:

@@ -10,15 +10,15 @@ from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import pauli_decompose
 from qmp.kinematics import scenario_example1, scenario_example3
-from qmp.qcore import SIGMA, Trajectory, dag, rk4_integrate
+from qmp.qcore import SIGMA, Trajectory, dag, rk4_integrate, spectrum
 from qmp.unitary_recon import (
     _aligned,
     _best_permutation,
+    _block_ids,
     EvolutionSequence,
     eigenframe_decompose,
     hamiltonian_from_evolution,
     iwasawa_decompose,
-    orbit_rep,
     reconstruct_evolution,
 )
 
@@ -28,27 +28,28 @@ rng = np.random.default_rng(314)
 
 
 class TestOrbitRep:
+    """The degeneracy blocks of the ascending spectrum, which label the
+    unitary orbit of a state, as _block_ids numbers them."""
+
     def test_maximally_mixed(self):
-        spec = orbit_rep(np.eye(4) / 4)
-        assert spec.dimension == 0
-        assert spec.partition == ((0, 1, 2, 3),)
+        np.testing.assert_array_equal(_block_ids(spectrum(np.eye(4) / 4)), [0, 0, 0, 0])
 
     def test_pure_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        spec = orbit_rep(rho)
-        assert spec.dimension == 6  # 2(n-1) for a pure state
-        assert len(spec.partition) == 2
+        np.testing.assert_array_equal(_block_ids(spectrum(rho)), [0, 0, 0, 1])
 
     def test_nondegenerate(self):
-        spec = orbit_rep(np.diag([0.4, 0.3, 0.2, 0.1]))
-        assert spec.dimension == 12  # n(n-1)
+        ws = spectrum(np.diag([0.4, 0.3, 0.2, 0.1]))
+        np.testing.assert_array_equal(_block_ids(ws), [0, 1, 2, 3])
 
     def test_oscillating_state_at_start(self):
-        rho = scenario_example1(2.0).joint_at(0.0)
-        spec = orbit_rep(rho)
-        np.testing.assert_allclose(spec.gamma, [5 / 16, 4 / 16, 4 / 16, 3 / 16], atol=1e-12)
-        assert any(len(b) == 2 for b in spec.partition)
+        ws = spectrum(scenario_example1(2.0).joint_at(0.0))
+        np.testing.assert_allclose(ws, [3 / 16, 4 / 16, 4 / 16, 5 / 16], atol=1e-12)
+        np.testing.assert_array_equal(_block_ids(ws), [0, 1, 1, 2])
+        # a stack gives the blocks of each spectrum
+        stacked = _block_ids(np.stack([ws, np.full(4, 0.25)]))
+        np.testing.assert_array_equal(stacked, [[0, 1, 1, 2], [0, 0, 0, 0]])
 
 
 class TestIwasawa:
