@@ -13,10 +13,14 @@ reconstruct Hamiltonians or master equations, and dump measure series:
 Trajectory files are JSON with fields dim, t0, dt, n, params and
 samples, where samples[i] lists the dim^2 entries of the matrix at time
 t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
-written as compact JSON (no whitespace) and read in any JSON layout.
-Exit codes: 0 success, 2 validation failure (an invalid state, or a
-file that is not a dim-4 joint trajectory given to single-file check,
-reconstruct or measures; nothing is written then), 3 no CP-valid
+written as compact JSON (no whitespace), streamed CHUNK samples at a
+time, so the whole text is never held in memory. They are read in any
+JSON layout: a samples array of [re, im] float pairs is read flat,
+anything else through json, with the same exit code and message.
+Exit codes: 0 success, 2 validation failure (an invalid state, a
+non-finite sample to be written, or a file that is not a dim-4 joint
+trajectory given to single-file check, reconstruct or measures;
+nothing is written then), 3 no CP-valid
 candidate, 4 parse error: unreadable JSON (undecodable bytes, invalid
 or too deeply nested JSON) or any schema violation (a
 missing or mistyped field, a sample of the wrong shape, a non-finite
@@ -41,11 +45,11 @@ CP-valid one adds its roundtrip_deviation and roundtrip_marginals.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import operator
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -115,16 +119,17 @@ def _output_dir(path: str):
         raise CliError(f"cannot write to {path}: {exc}", EXIT_PARSE)
 
 
-def _atomic_write(path: str, text: str):
-    """Write via a temporary file and rename; mode 0666 minus the umask.
-    An OSError exits 4 naming the path and leaves no temporary file."""
+def _atomic_write(path: str, chunks):
+    """Write the strings of ``chunks`` via a temporary file and rename;
+    mode 0666 minus the umask. An OSError exits 4 naming the path and
+    leaves no temporary file."""
     d = os.path.dirname(os.path.abspath(path))
     _output_dir(d)
     tmp = os.path.join(d, f".qmp-{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
@@ -133,16 +138,18 @@ def _atomic_write(path: str, text: str):
             os.unlink(tmp)
 
 
-def trajectory_to_dict(traj: Trajectory, params=None) -> dict:
-    pairs = np.ascontiguousarray(traj.samples).view(float)
-    return {
-        "dim": traj.dim,
-        "t0": traj.t0,
-        "dt": traj.dt,
-        "n": traj.n,
-        "params": params or {},
-        "samples": pairs.reshape(traj.n, -1, 2).tolist(),
-    }
+CHUNK = 1024  # samples (or CSV rows) per %-template write and per flat-read parse
+
+
+def _formatted_rows(rows: np.ndarray, row: str, sep: str):
+    """Yield the text of the rows of a 2-D float array, ``row`` holding
+    one %-field per column and ``sep`` going between rows: one
+    %-template per CHUNK rows, so the whole text is never held."""
+    for start in range(0, len(rows), CHUNK):
+        block = rows[start:start + CHUNK]
+        if start:
+            yield sep
+        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
 def _field(doc: dict, name: str, kind):
@@ -155,12 +162,15 @@ def _field(doc: dict, name: str, kind):
 def trajectory_from_dict(doc: dict) -> Trajectory:
     """Decode a trajectory document; any schema violation exits 4.
 
-    Every sample must also be a density matrix within STATE_TOL (exit 2
-    naming the first sample that is not).
+    ``samples`` is nested lists, or the (n, dim^2, 2) float array that
+    load_trajectory reads flat. Every sample must also be a density
+    matrix within STATE_TOL (exit 2 naming the first sample that is not).
     """
     dim, n = _field(doc, "dim", operator.index), _field(doc, "n", operator.index)
     t0, dt = _field(doc, "t0", float), _field(doc, "dt", float)
-    raw = _field(doc, "samples", list)
+    raw = doc.get("samples")
+    if not isinstance(raw, np.ndarray):
+        raw = _field(doc, "samples", list)
     if len(raw) != n:
         raise CliError(f"n = {n} but {len(raw)} samples present", EXIT_PARSE)
     try:
@@ -188,14 +198,129 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
 
 
 def write_trajectory(path: str, traj: Trajectory, params=None):
-    # one-shot dumps with no indent is the only form json encodes in C
-    _atomic_write(path, json.dumps(trajectory_to_dict(traj, params), separators=(",", ":")))
+    """Compact JSON, streamed: the header through json.dumps, the
+    samples CHUNK at a time through one %r template (the float repr
+    that json writes). A non-finite sample exits 2 naming it, and
+    nothing is written."""
+    pairs = np.ascontiguousarray(traj.samples).view(float).reshape(traj.n, -1)
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        raise CliError(
+            f"sample {np.argmin(finite)} has a non-finite entry; {path} not written",
+            EXIT_INVALID,
+        )
+    head = json.dumps(
+        {"dim": traj.dim, "t0": traj.t0, "dt": traj.dt, "n": traj.n, "params": params or {}},
+        separators=(",", ":"),
+    )
+    row = "[" + ",".join(["[%r,%r]"] * traj.dim**2) + "]"
+    _atomic_write(path, chain([head[:-1], ',"samples":['], _formatted_rows(pairs, row, ","), ["]}"]))
+
+
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = b" \t\n\r"  # the bytes of json.decoder.WHITESPACE
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_OPEN, _CLOSE, _COMMA = b"[],"  # their byte values
+
+
+def _flat_samples(data: bytes, start: int):
+    """(samples, end) for the JSON array at data[start:end] when it is a
+    canonical (a, m, 2) array of floats in any whitespace, else None.
+
+    It is read flat only when all four checks pass: (1) bracket depth
+    finds its end; (2) its sequence of [, ] and , is that of shape
+    (a, m, 2); (3) with the whitespace dropped, every [ follows [ or ,
+    and every ] is followed by ] or , so no value stands outside a pair;
+    (4) json.loads of each CHUNK of samples, its brackets turned into
+    spaces, gives exactly 2 m floats per sample. Its floats are then the
+    ones json.loads would put in the nested lists.
+    """
+    if not data.startswith(b"[", start):
+        return None
+    rest = np.frombuffer(data, np.uint8, offset=start)
+    at = np.flatnonzero((rest == _OPEN) | (rest == _CLOSE) | (rest == _COMMA))
+    marks = rest[at].tobytes()
+    # (1) and (2): in a canonical array the first ]]] (pair, sample,
+    # array) is where bracket depth first returns to 0
+    m = marks.find(b"]]") // 4
+    if m < 1:
+        return None
+    width = 4 * m + 2  # the marks of one sample and its separator
+    a = (marks.find(b"]]]") + 2) // width
+    sample = b"[" + b",".join([b"[,]"] * m) + b"]"
+    if a < 1 or marks[:a * width + 1] != b"[" + b",".join([sample] * a) + b"]":
+        return None
+    # the mark before each chunk's first sample, then the array's ]
+    edges = [*(start + at[:a * width:width * CHUNK]), start + at[a * width]]
+    out = np.empty((a, m, 2))
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        span = data[lo + 1:hi]
+        # (3)
+        compact = np.frombuffer(span.translate(None, _JSON_SPACE), np.uint8)
+        opens, closes = np.flatnonzero(compact == _OPEN), np.flatnonzero(compact == _CLOSE)
+        before, after = compact[opens[1:] - 1], compact[closes[:-1] + 1]
+        if not (
+            opens[0] == 0 and closes[-1] == len(compact) - 1
+            and np.all((before == _OPEN) | (before == _COMMA))
+            and np.all((after == _CLOSE) | (after == _COMMA))
+        ):
+            return None
+        # (4)
+        try:
+            values = json.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]")
+        except ValueError:
+            return None
+        block = out[j * CHUNK:(j + 1) * CHUNK]
+        if len(values) != block.size or set(map(type, values)) != {float}:
+            return None
+        block.flat = values
+    return out, edges[-1] + 1
+
+
+def _decode_object(text: str) -> dict:
+    """The top-level JSON object of ``text``, key by key, with a
+    "samples" value read flat where _flat_samples can. Raises ValueError
+    where the text is not a JSON object."""
+
+    def skip(i):  # past JSON whitespace
+        return json.decoder.WHITESPACE.match(text, i).end()
+
+    def expect(i, char):  # past char
+        if not text.startswith(char, i):
+            raise ValueError(f"expected {char!r} at {i}")
+        return i + 1
+
+    doc, data = {}, None
+    i = skip(expect(skip(0), "{"))
+    more = not text.startswith("}", i)
+    while more:
+        key, i = json.decoder.scanstring(text, expect(i, '"'))
+        i = skip(expect(skip(i), ":"))
+        flat = None
+        if key == "samples" and text.isascii():
+            data = data or text.encode("ascii")
+            flat = _flat_samples(data, i)
+        doc[key], i = flat or _DECODER.raw_decode(text, i)
+        i = skip(i)
+        more = text.startswith(",", i)
+        if more:
+            i = skip(i + 1)
+    if skip(expect(i, "}")) != len(text):
+        raise ValueError("extra data")
+    return doc
 
 
 def load_trajectory(path: str) -> Trajectory:
+    """Read a trajectory file in any JSON layout. A document that the
+    object walk does not take goes to json.loads whole, so a malformed
+    file exits 4 with json's own message."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        try:
+            doc = _decode_object(text)
+        except (ValueError, RecursionError):
+            doc = json.loads(text)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except (ValueError, RecursionError) as exc:
@@ -207,15 +332,14 @@ def load_trajectory(path: str) -> Trajectory:
 
 def _write_csv(path: str, header: list, table: np.ndarray):
     """One row per sample, every value as %.17g (exact round trip)."""
-    buf = io.StringIO()
-    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
-    _atomic_write(path, buf.getvalue())
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _atomic_write(path, chain([",".join(header) + "\n"], _formatted_rows(table, row, "")))
 
 
 def write_report(path_or_none, doc: dict):
     text = json.dumps(doc, indent=1)
     if path_or_none:
-        _atomic_write(path_or_none, text)
+        _atomic_write(path_or_none, [text])
     _say(text)
 
 

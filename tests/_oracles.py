@@ -6,15 +6,21 @@ over the Kossakowski matrix, eigenvalue tests instead of Cholesky
 pivots, one RK4 loop per state instead of one over a stack, a phase
 fix per eigenvector and an SVD per degenerate block instead of one
 masked polar factor per step, np.gradient instead of the package's
-difference stencil) so that agreement between the two is
-meaningful. Nothing here imports qmp.dissipative_recon,
-qmp.unitary_recon or qmp.qcore.rk4_integrate.
+difference stencil, nested lists through json instead of streamed
+%-templates and a flat read of the samples array) so that agreement
+between the two is meaningful. Nothing here calls qmp.dissipative_recon,
+qmp.unitary_recon or qmp.qcore.rk4_integrate. The file reader takes only
+CliError and the schema checks of trajectory_from_dict from qmp.cli,
+which both readers share.
 """
+
+import json
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import traceless_basis
+from qmp.cli import EXIT_PARSE, CliError, trajectory_from_dict
 
 
 def random_hermitian(rng, n=4, scale=1.0):
@@ -159,3 +165,31 @@ def continue_frames_per_block(samples, tol=1e-9):
         frames[i] = v
         branches[i] = w
     return frames, branches
+
+
+def trajectory_to_dict(traj, params=None) -> dict:
+    """The document of a trajectory file as nested lists: json.dumps of
+    it with separators (",", ":") is the byte stream the writer streams."""
+    pairs = np.ascontiguousarray(traj.samples).view(float)
+    return {
+        "dim": traj.dim,
+        "t0": traj.t0,
+        "dt": traj.dt,
+        "n": traj.n,
+        "params": params or {},
+        "samples": pairs.reshape(traj.n, -1, 2).tolist(),
+    }
+
+
+def load_trajectory_nested(path):
+    """A trajectory file through json.loads of the whole text (nested
+    lists, which trajectory_from_dict hands to np.asarray), with its
+    errors mapped as qmp.cli.load_trajectory maps them."""
+    try:
+        with open(path) as fh:
+            doc = json.loads(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE)
+    return trajectory_from_dict(doc)

@@ -1,6 +1,8 @@
 import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,20 +11,24 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qmp import cli
 from qmp.cli import (
+    CHUNK,
     EXIT_INVALID,
     EXIT_NO_CP,
     EXIT_OK,
     EXIT_PARSE,
+    CliError,
     load_trajectory,
     main,
     trajectory_from_dict,
-    trajectory_to_dict,
     write_trajectory,
 )
 import qmp
 from qmp.kinematics import scenario_example1, scenario_example3, unitarity_test
 from qmp.qcore import Trajectory
+
+from _oracles import load_trajectory_nested, trajectory_to_dict
 
 
 # the fields of every reconstruct master candidate, and of a CP-valid one
@@ -53,8 +59,6 @@ class TestSerialization:
     def test_sample_count_mismatch(self):
         doc = trajectory_to_dict(scenario_example1(2.0).joint(0.0, 0.1, 3))
         doc["n"] = 5
-        from qmp.cli import CliError
-
         with pytest.raises(CliError) as exc:
             trajectory_from_dict(doc)
         assert exc.value.code == EXIT_PARSE
@@ -62,8 +66,6 @@ class TestSerialization:
     def test_invalid_state_rejected_in_strict_mode(self):
         bad = Trajectory(0.0, 0.1, np.array([np.diag([2.0, -1.0, 0, 0])] * 3, dtype=complex))
         doc = trajectory_to_dict(bad)
-        from qmp.cli import CliError
-
         with pytest.raises(CliError) as exc:
             trajectory_from_dict(doc)
         assert exc.value.code == EXIT_INVALID
@@ -125,7 +127,7 @@ _JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_documents(draw):
+def mutated_docs(draw):
     """A valid 3-sample trajectory with one to three nodes dropped,
     retyped, reshaped, nested, shifted or replaced by NaN or a string."""
     doc = copy.deepcopy(_DOC)
@@ -159,7 +161,11 @@ def mutated_documents(draw):
             del parent[key]
         else:
             parent[key] = new
-    return json.dumps(doc).encode()
+    return doc
+
+
+def mutated_documents():
+    return mutated_docs().map(lambda doc: json.dumps(doc).encode())
 
 
 def _parses(data: bytes) -> bool:
@@ -183,6 +189,179 @@ def test_loader_never_raises(tmp_path, capsys, data):
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
     if not _parses(data):
         assert code == EXIT_PARSE and str(path) in err
+
+
+_LAYOUTS = {"compact": {"separators": (",", ":")}, "spaced": {}, "indent": {"indent": 1}}
+# brackets, commas, strings that hold them, and numbers: each can move the
+# skeleton of the samples array without breaking its bracket count
+_INSERTIONS = ["[", "]", ",", '"]"', '",["', "0", "7", "-", ",0.5", "[0.5,0.5],"]
+
+
+@st.composite
+def relaid_documents(draw):
+    """A mutated document in one of three layouts, with up to four edits:
+    an insertion at a random place, or a [, ] or , moved by a few
+    characters (which keeps the skeleton of the samples array but can
+    push a value out of its pair)."""
+    text = json.dumps(draw(mutated_docs()), **_LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))])
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        marks = [i for i, c in enumerate(text[at:at + 40], at) if c in "[],"]
+        if marks and draw(st.booleans()):
+            mark = draw(st.sampled_from(marks))
+            char, text = text[mark], text[:mark] + text[mark + 1:]
+            to = min(max(mark + draw(st.integers(-6, 6)), 0), len(text))
+            text = text[:to] + char + text[to:]
+        else:
+            text = text[:at] + draw(st.sampled_from(_INSERTIONS)) + text[at:]
+    return text
+
+
+def _outcome(load, path):
+    """(exit code, message, t0, dt, sample bytes) of one reader on one file."""
+    try:
+        traj = load(str(path))
+    except CliError as exc:
+        return exc.code, str(exc), None, None, None
+    except ValueError as exc:  # main maps it to EXIT_INVALID
+        return EXIT_INVALID, str(exc), None, None, None
+    return EXIT_OK, "", traj.t0, traj.dt, traj.samples.tobytes()
+
+
+def _assert_reads_as_oracle(path):
+    assert _outcome(load_trajectory, path) == _outcome(load_trajectory_nested, path)
+
+
+_SAMPLES = json.dumps(_DOC["samples"])
+_WIDER = json.dumps(_DOC["samples"] + _DOC["samples"][:1])
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=relaid_documents())
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", '[0.25, "],["]', 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", '[0.25, 0.0, "]"]', 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, 0.0]]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[[0.25], 0.0]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, 0]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, true]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, NaN]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25 ,\f0.0]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, 0.0]5", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, ]0.0", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0], [0.0, 0.0]", "[0.25, 0.0], 0.0[, 0.0]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, null]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", '[0.25, "0.5"]', 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, {}]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, 10000000000000000000000000000000]", 1))
+@example(text=json.dumps(_DOC).replace("[0.25, 0.0]", "[0.25, 0.0, 0.0]", 1))
+@example(text=re.sub(r"\]\], \[(\[[^]]*\]), ", r"], \1], [", json.dumps(_DOC), count=1))
+@example(text=json.dumps(_DOC).replace('"samples": [', '"samples": [ 5 [', 1))
+@example(text=json.dumps(_DOC)[:-2])
+@example(text=json.dumps(_DOC).replace('"params": {}', '"samples": ' + _WIDER, 1))
+@example(text=json.dumps(_DOC)[:-1] + ', "samples": ' + _WIDER + "}")
+@example(text=json.dumps(_DOC)[:-1] + ', "samples": ' + _SAMPLES[:-1] + "}")
+@example(text=json.dumps(_DOC) + " x")
+@example(text=json.dumps(_DOC, indent=1).replace("\n", "\r\n"))
+@example(text=json.dumps(_DOC, ensure_ascii=False).replace('"params": {}', '"params": {"\u00e9": 1}'))
+def test_reader_matches_nested_oracle(tmp_path, monkeypatch, text):
+    # two-sample chunks, so that a 3-sample document spans two of them
+    monkeypatch.setattr(cli, "CHUNK", 2)
+    path = tmp_path / "t.json"
+    path.write_bytes(text.encode())
+    _assert_reads_as_oracle(path)
+    # the object walk itself takes every JSON object, with no fallback
+    text = path.read_text()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return
+    if isinstance(doc, dict):
+        walked = cli._decode_object(text)
+        if isinstance(walked.get("samples"), np.ndarray):
+            walked["samples"] = walked["samples"].tolist()
+        assert json.dumps(walked) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_duplicate_samples_last_one_wins(tmp_path, layout):
+    later = scenario_example3(2.0, 0.2).joint(0.0, 0.1, 3)
+    head = json.dumps(_DOC, **_LAYOUTS[layout])[:-1]
+    text = head + ', "samples": ' + json.dumps(trajectory_to_dict(later)["samples"]) + "}"
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert load_trajectory(str(path)).samples.tobytes() == later.samples.tobytes()
+    _assert_reads_as_oracle(path)
+
+
+@pytest.mark.parametrize("cut", ["]", "]]", "]]]"])
+def test_unbalanced_samples_exit_4(tmp_path, capsys, cut):
+    # the closing brackets of the samples array are dropped or doubled
+    text = json.dumps(_DOC, separators=(",", ":"))
+    for edited in (text.replace("]]]", "]]]" + cut, 1), text.replace("]]]", "]]]"[len(cut):], 1)):
+        path = tmp_path / "t.json"
+        path.write_text(edited)
+        _assert_reads_as_oracle(path)
+        assert run("check", path) == EXIT_PARSE
+        assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_multi_chunk_file_reads_flat(tmp_path):
+    # 2.5 chunks of samples in each layout: the object walk reads the
+    # samples flat and ends where json.loads ends
+    traj = scenario_example1(2.0).joint(0.0, 1e-3, 5 * CHUNK // 2)
+    for layout in _LAYOUTS.values():
+        text = json.dumps(trajectory_to_dict(traj, {"J": 2.0}), **layout)
+        doc = cli._decode_object(text)
+        samples = doc.pop("samples")
+        assert isinstance(samples, np.ndarray)
+        assert samples.tobytes() == np.ascontiguousarray(traj.samples).view(float).tobytes()
+        assert doc == {k: v for k, v in json.loads(text).items() if k != "samples"}
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1, 1 / 3, 2.0**-1074 * 3]
+
+
+@st.composite
+def stacks(draw):
+    """An (n, d, d) complex stack of special and random finite floats;
+    n is drawn around multiples of CHUNK."""
+    pool = draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    n = draw(st.sampled_from([3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]) | st.integers(3, 40))
+    d = draw(st.sampled_from([2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool), size=(n, d, d, 2)).view(complex)[..., 0]
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=stacks(), t0=st.sampled_from([0.0, -0.0, 1e22, 5e-324]), params=st.sampled_from([None, {"J": 1e16}]))
+def test_writer_matches_json_dumps(tmp_path, samples, t0, params):
+    traj = Trajectory(t0, 1e-5, samples)
+    path = tmp_path / "t.json"
+    write_trajectory(str(path), traj, params)
+    assert path.read_text() == json.dumps(trajectory_to_dict(traj, params), separators=(",", ":"))
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=stacks(), special=st.sampled_from([float("nan"), float("inf"), 0.0]))
+def test_csv_matches_savetxt(tmp_path, samples, special):
+    table = samples.view(float).reshape(len(samples), -1)[:, :5].copy()
+    table[len(table) // 2, 0] = special
+    header = ["t", "a", "b", "c", "d"]
+    cli._write_csv(str(tmp_path / "t.csv"), header, table)
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    assert (tmp_path / "t.csv").read_text() == buf.getvalue()
+
+
+@pytest.mark.parametrize("bad", [complex(float("nan"), 0), complex(0, float("inf")), complex(-float("inf"), 1)])
+def test_writer_refuses_non_finite_samples(tmp_path, bad):
+    samples = scenario_example1(2.0).joint(0.0, 0.1, 5).samples.copy()
+    samples[3, 1, 2] = bad
+    path = tmp_path / "t.json"
+    with pytest.raises(CliError) as exc:
+        write_trajectory(str(path), Trajectory(0.0, 0.1, samples))
+    assert exc.value.code == EXIT_INVALID and "sample 3 " in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestScenarioCommand:
