@@ -21,7 +21,10 @@ Exit codes: 0 success, 2 validation failure (an invalid state, a
 non-finite sample to be written, or a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures;
 nothing is written then), 3 no CP-valid
-candidate, 4 parse error: unreadable JSON (undecodable bytes, invalid
+candidate, or a round trip that reaches a non-finite state, named with
+its time (the CP-valid candidates integrate as one stack, so one that
+diverges ends the round trip of all of them; report.json is not
+written), 4 parse error: unreadable JSON (undecodable bytes, invalid
 or too deeply nested JSON) or any schema violation (a
 missing or mistyped field, a sample of the wrong shape, a non-finite
 number, n < 3, dt <= 0), reported with the field or sample index, or a
@@ -492,8 +495,12 @@ def cmd_reconstruct_master(args) -> int:
             valid.append((entry, k.conjugated(frame.v0)))
         doc["candidates"].append(entry)
     if valid:
-        # every CP-valid candidate integrates in one RK4 loop
-        rt = dr.roundtrip_verify(traj, h_mean, [k for _, k in valid], frame.useq)
+        # every CP-valid candidate integrates in one RK4 loop, so one that
+        # diverges stops the round trip of all of them
+        try:
+            rt = dr.roundtrip_verify(traj, h_mean, [k for _, k in valid], frame.useq)
+        except RuntimeError as exc:
+            raise CliError(f"round trip: {exc}", EXIT_NO_CP)
         for j, (entry, _) in enumerate(valid):
             entry["roundtrip_deviation"] = float(rt.max_deviation[j])
             entry["roundtrip_marginals"] = [

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -40,10 +41,10 @@ from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
     _require_hermitian,
+    _rk4_steps,
     diff_series,
     finite_diff,
     partial_trace,
-    rk4_integrate,
     spectrum,
 )
 from .unitary_recon import EvolutionSequence
@@ -371,7 +372,10 @@ def candidate_diagonals(fit: DiagonalFit):
 
 
 # grid times per block of lab-frame Liouvillians in roundtrip_verify: 256
-# (1 MB per candidate) ran as fast as 64, while 1024 and 4096 were slower
+# (1 MB per candidate) ran as fast as 64, while 1024 and 4096 were slower.
+# Each RK4 step reads two new grid times, so the integrated states are
+# compared with the samples in blocks of _BLOCK // 2 steps, and the round
+# trip's memory is set by these two blocks, not by n.
 _BLOCK = 256
 # how far (in time) an RK4 stage may sit from a sample of the unitary grid
 _GRID_TOL = 1e-9
@@ -413,15 +417,20 @@ def roundtrip_verify(
 
     The generator of state j, Hamiltonian part included, is one
     lab-frame Liouvillian per grid time, L_j(t) = L_h + S(t) L_Kj S(t)^dag
-    (see the module docstring), built for one block of grid times at a
-    time. All c run as one (c, 4, 4) stack in one RK4 loop, and each stage
-    is one (c, 16, 16) @ (c, 16, 1) product. The RK4 grid
+    (see the module docstring), built for one block of _BLOCK grid times
+    at a time. All c run as one (c, 4, 4) stack in one RK4 loop, and each
+    stage is one (c, 16, 16) @ (c, 16, 1) product. The RK4 grid
     follows the interval count, so that every midpoint evaluation finds
     U on a sample: on an even count the steps are 2 dt and the midpoints
-    are odd samples of ``useq``; on an odd count the steps are dt and
-    the midpoints come from ``useq.half_grid()``. Deviations are the max
-    Frobenius distance of the joint state and the max absolute entry
-    deviation of each marginal, over the integrated grid.
+    are odd samples of ``useq`` (two intervals are one step); on an odd
+    count the steps are dt and the midpoints come from
+    ``useq.half_grid()``. Deviations are the max Frobenius distance of
+    the joint state and the max absolute entry deviation of each
+    marginal, over the integrated grid. The states are compared with
+    the samples _BLOCK // 2 steps at a time and only the running maxima
+    are kept, so no array grows with n. The stack stops at the first
+    step with a non-finite entry in any state, which raises RuntimeError
+    naming its time.
     """
     stride = 2 if (traj.n - 1) % 2 == 0 else 1
     grid = useq if stride == 2 else useq.half_grid()
@@ -440,12 +449,22 @@ def roundtrip_verify(
         return (block[i - start] @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
 
     rho0 = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
-    result = rk4_integrate(rhs, rho0, traj.t0, stride * traj.dt, (traj.n - 1) // stride)
-    # time axis third from last, so each generator's run is compared whole
-    diff = np.moveaxis(result.samples, 0, -3) - traj.samples[::stride]
-    return RoundtripReport(
-        np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1),
-        np.max(np.abs(partial_trace(diff, "B")), axis=(-3, -2, -1)),
-        np.max(np.abs(partial_trace(diff, "A")), axis=(-3, -2, -1)),
-        result.max_trace_drift,
-    )
+    trace0 = np.trace(rho0, axis1=-2, axis2=-1)
+    ref = traj.samples[::stride]
+    steps = _rk4_steps(rhs, rho0, traj.t0, stride * traj.dt, len(ref) - 1)
+    states = np.empty((_BLOCK // 2,) + rho0.shape, dtype=complex)
+    # rows: deviation, marginal A, marginal B, trace drift; sample 0 is rho0
+    worst = np.zeros((4, len(ks)))
+    for first in range(1, len(ref), len(states)):
+        want = ref[first : first + len(states)]
+        with np.errstate(over="ignore", invalid="ignore"):  # _rk4_steps reports non-finite states
+            for j, rho in enumerate(islice(steps, len(want))):
+                states[j] = rho
+        diff = states[: len(want)] - want[:, np.newaxis]
+        np.maximum(worst, [
+            np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
+            np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
+            np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
+            np.max(np.abs(np.trace(states[: len(want)], axis1=-2, axis2=-1) - trace0), axis=0),
+        ], out=worst)
+    return RoundtripReport(*worst)

@@ -282,6 +282,23 @@ class IntegrationResult:
         return _per_matrix(np.max(self.hermiticity_drift, axis=0))
 
 
+def _rk4_steps(generator, rho, t0: float, dt: float, n_steps: int):
+    """Yield the n_steps classic RK4 states after ``rho`` (not ``rho``
+    itself), one step at a time; a step with a non-finite entry raises
+    RuntimeError naming its time."""
+    half = 0.5 * dt
+    for i in range(n_steps):
+        t = t0 + i * dt
+        k1 = generator(t, rho)
+        k2 = generator(t + half, rho + half * k1)
+        k3 = generator(t + half, rho + half * k2)
+        k4 = generator(t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.isfinite(rho).all():
+            raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
+        yield rho
+
+
 def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> IntegrationResult:
     """Classic fixed-step RK4 for d(rho)/dt = generator(t, rho).
 
@@ -298,17 +315,8 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         raise ValueError("need at least 2 steps")
     out = np.empty((n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
-    half = 0.5 * dt
-    for i in range(n_steps):
-        t = t0 + i * dt
-        k1 = generator(t, rho)
-        k2 = generator(t + half, rho + half * k1)
-        k3 = generator(t + half, rho + half * k2)
-        k4 = generator(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(rho).all():
-            raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
-        out[i + 1] = rho
+    for i, state in enumerate(_rk4_steps(generator, rho, t0, dt, n_steps), 1):
+        out[i] = state
     trace = np.trace(out, axis1=-2, axis2=-1)
     return IntegrationResult(
         t0, dt, out, np.abs(trace - trace[0]), hermiticity_defect(out)

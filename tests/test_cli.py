@@ -547,6 +547,39 @@ class TestReconstructCommands:
         write_trajectory(str(path), reversed_traj)
         assert run("reconstruct", "master", path, "--out", tmp_path / "m") == EXIT_NO_CP
 
+    @pytest.mark.parametrize("name, labels", [
+        ("example3", ["single:4", "single:7", "single:8", "single:11"]),
+        ("example1", ["unitary"]),
+    ])
+    def test_master_on_three_samples(self, tmp_path, name, labels):
+        # two intervals are a single RK4 step of 2 dt
+        out = tmp_path / name
+        run("scenario", name, "--t-max", 0.01, "--steps", 2, "--out", out)
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
+        doc = json.loads((rec / "report.json").read_text())
+        valid = [c for c in doc["candidates"] if c["cp_valid"]]
+        assert [c["label"] for c in valid] == labels
+        for c in valid:
+            assert c["roundtrip_deviation"] < 1e-6, c["label"]
+
+    # the states pass 1e154 some blocks before they overflow, and numpy's
+    # norm warns that the deviations of those blocks overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_master_round_trip_overflow_exits_3(self, tmp_path, capsys):
+        # at gamma dt = 15 the fitted rates make the 2 dt RK4 step unstable,
+        # and the states overflow in the 2211th step, so 4422 intervals is
+        # the smallest grid that reaches it (4421 and 4423, which step dt,
+        # stay finite)
+        out = tmp_path / "ex3"
+        run("scenario", "example3", "--gamma", 3000, "--t-max", 22.11, "--steps", 4422, "--out", out)
+        capsys.readouterr()
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_NO_CP
+        err = capsys.readouterr().err
+        assert err == "error: round trip: integration produced non-finite values at t=22.11\n"
+        assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
+
 
 class TestMeasuresCommand:
     def test_series_columns(self, tmp_path):

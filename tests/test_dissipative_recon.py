@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
@@ -498,25 +500,38 @@ def _lab_frame_oracle(h, km, u, t0, step):
     return rhs
 
 
+# RK4 steps per block of states that roundtrip_verify compares with the samples
+_STEPS = _BLOCK // 2
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     c=st.integers(1, 4),
     odd=st.booleans(),
-    extra=st.integers(1, _BLOCK // 2 - 2),
+    steps=st.one_of(
+        st.sampled_from([_STEPS - 1, _STEPS, _STEPS + 1, 2 * _STEPS - 1, 2 * _STEPS, 2 * _STEPS + 1]),
+        st.integers(1, 3 * _STEPS),
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_roundtrip_matches_lab_frame_oracle(c, odd, extra, seed):
+@example(c=4, odd=False, steps=_STEPS, seed=0)  # exactly one comparison block
+@example(c=3, odd=True, steps=_STEPS + 1, seed=1)  # one step more
+@example(c=2, odd=True, steps=_STEPS - 1, seed=2)  # one step less
+@example(c=1, odd=False, steps=1, seed=3)  # fewer steps than a block: 3 samples
+def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
     r = np.random.default_rng(seed)
-    # the RK4 reads U at 2 * steps + 1 grid times: more than two blocks of
-    # lab-frame Liouvillians, ending inside the third
-    steps = (_BLOCK + extra) | 1 if odd else _BLOCK + extra
+    # an odd interval count steps dt, so it needs an odd step count, and
+    # one step would be a 2-sample trajectory
+    odd = odd and steps % 2 == 1 and steps > 1
     intervals = steps if odd else 2 * steps
     t0, dt = r.uniform(-1.0, 1.0), 1.0 / intervals
     z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
     useq = EvolutionSequence(t0, dt, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
     # an odd count reads U on the half grid, which has its own test
     u = useq.half_grid().u if odd else useq.u
-    assert len(u) == 2 * steps + 1 and len(u) > 2 * _BLOCK and len(u) % _BLOCK != 0
+    # the RK4 reads U at 2 * steps + 1 grid times, up to three blocks of
+    # lab-frame Liouvillians
+    assert len(u) == 2 * steps + 1
     h = random_hermitian(r)
     a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
     kms = 0.01 * a @ a.conj().swapaxes(1, 2)
@@ -537,6 +552,25 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, extra, seed):
         assert rep.max_marginal_b[j] == pytest.approx(
             np.abs(np.einsum("tabad->tbd", diff)).max(), rel=1e-12
         )
+
+
+def test_roundtrip_memory_does_not_grow_with_n():
+    # the states are compared with the samples one block at a time, so the
+    # traced peak of four candidates is the same at 4 and 16 blocks
+    def traced_peak(intervals):
+        r = np.random.default_rng(intervals)
+        z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
+        useq = EvolutionSequence(0.0, 1.0 / intervals, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
+        traj = Trajectory(0.0, 1.0 / intervals, np.broadcast_to(random_state(r), (intervals + 1, 4, 4)))
+        ks = [KossakowskiMatrix(0.01 * np.eye(15))] * 4
+        tracemalloc.start()
+        try:
+            roundtrip_verify(traj, random_hermitian(r), ks, useq)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(16 * _BLOCK) <= 1.02 * traced_peak(4 * _BLOCK)
 
 
 def test_affine_generator_validation():
