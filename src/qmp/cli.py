@@ -22,7 +22,8 @@ non-finite sample to be written, or a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures;
 nothing is written then), 3 no CP-valid
 candidate, or a round trip that reaches a non-finite state, named with
-its time (the CP-valid candidates integrate as one stack, so one that
+its time, or a non-finite deviation from the samples, named with its
+candidates (the CP-valid candidates integrate as one stack, so one that
 diverges ends the round trip of all of them; report.json is not
 written), 4 parse error: unreadable JSON (undecodable bytes, invalid
 or too deeply nested JSON) or any schema violation (a
@@ -48,16 +49,18 @@ CP-valid one adds its roundtrip_deviation and roundtrip_marginals.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import operator
 import os
+import re
 import sys
 from itertools import chain
 
 import numpy as np
 
 from . import bloch, dissipative_recon as dr, kinematics, measures, unitary_recon as ur
-from .qcore import Trajectory, partial_trace, validate_state
+from .qcore import Trajectory, _chunks, partial_trace, validate_state
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -162,6 +165,16 @@ def _field(doc: dict, name: str, kind):
         raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
 
 
+def _first_non_finite(samples: np.ndarray):
+    """Index of the first sample (row of the first axis) with a non-finite
+    entry, or None."""
+    for part in _chunks(len(samples)):
+        finite = np.isfinite(samples[part]).all(axis=tuple(range(1, samples.ndim)))
+        if not finite.all():
+            return part.start + int(np.argmin(finite))
+    return None
+
+
 def trajectory_from_dict(doc: dict) -> Trajectory:
     """Decode a trajectory document; any schema violation exits 4.
 
@@ -185,9 +198,9 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
             f"samples must be ({n}, {dim * dim}, 2) numbers, got {pairs.dtype} {pairs.shape}",
             EXIT_PARSE,
         )
-    finite = np.isfinite(pairs).all(axis=(1, 2))
-    if not finite.all():
-        raise CliError(f"sample {np.argmin(finite)} has a non-finite entry", EXIT_PARSE)
+    bad = _first_non_finite(pairs)
+    if bad is not None:
+        raise CliError(f"sample {bad} has a non-finite entry", EXIT_PARSE)
     try:
         samples = pairs.astype(float, copy=False).view(complex).reshape(n, dim, dim)
         traj = Trajectory(t0, dt, samples)
@@ -206,12 +219,9 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
     that json writes). A non-finite sample exits 2 naming it, and
     nothing is written."""
     pairs = np.ascontiguousarray(traj.samples).view(float).reshape(traj.n, -1)
-    finite = np.isfinite(pairs).all(axis=1)
-    if not finite.all():
-        raise CliError(
-            f"sample {np.argmin(finite)} has a non-finite entry; {path} not written",
-            EXIT_INVALID,
-        )
+    bad = _first_non_finite(pairs)
+    if bad is not None:
+        raise CliError(f"sample {bad} has a non-finite entry; {path} not written", EXIT_INVALID)
     head = json.dumps(
         {"dim": traj.dim, "t0": traj.t0, "dt": traj.dt, "n": traj.n, "params": params or {}},
         separators=(",", ":"),
@@ -222,8 +232,21 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
 
 _DECODER = json.JSONDecoder()
 _JSON_SPACE = b" \t\n\r"  # the bytes of json.decoder.WHITESPACE
+_SKIP_SPACE = re.compile(b"[" + _JSON_SPACE + b"]*").match
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _OPEN, _CLOSE, _COMMA = b"[],"  # their byte values
+_IS_MARK = np.zeros(256, dtype=bool)
+_IS_MARK[[_OPEN, _CLOSE, _COMMA]] = True
+_WINDOW = 1 << 16  # bytes per window of a scan over the file
+
+
+def _marks(data: bytes, start: int):
+    """Yield (offset, positions, marks) for each _WINDOW bytes of data from
+    start: the positions (from offset) and byte values of its [, ] and ,."""
+    for offset in range(start, len(data), _WINDOW):
+        window = np.frombuffer(data, np.uint8, min(_WINDOW, len(data) - offset), offset)
+        at = np.flatnonzero(_IS_MARK[window])
+        yield offset, at, window[at]
 
 
 def _flat_samples(data: bytes, start: int):
@@ -240,21 +263,39 @@ def _flat_samples(data: bytes, start: int):
     """
     if not data.startswith(b"[", start):
         return None
-    rest = np.frombuffer(data, np.uint8, offset=start)
-    at = np.flatnonzero((rest == _OPEN) | (rest == _CLOSE) | (rest == _COMMA))
-    marks = rest[at].tobytes()
-    # (1) and (2): in a canonical array the first ]]] (pair, sample,
-    # array) is where bracket depth first returns to 0
-    m = marks.find(b"]]") // 4
+    # (1) and (2): after the array's [, a canonical array's marks are
+    # those of one sample and its , over and over, until they first
+    # differ: there, at the end of a sample, stands the array's ]. Its
+    # first ]] (pair, sample) gives m. The marks are scanned a window at
+    # a time, and only the marks before each chunk's first sample (the
+    # edges of the chunks) and the array's ] are kept.
+    head = b""
+    for _, _, marks in _marks(data, start + 1):
+        head += marks.tobytes()
+        if b"]]" in head:
+            break
+    m = (head.find(b"]]") + 1) // 4
     if m < 1:
         return None
     width = 4 * m + 2  # the marks of one sample and its separator
-    a = (marks.find(b"]]]") + 2) // width
-    sample = b"[" + b",".join([b"[,]"] * m) + b"]"
-    if a < 1 or marks[:a * width + 1] != b"[" + b",".join([sample] * a) + b"]":
+    period = np.frombuffer(b"[" + b",".join([b"[,]"] * m) + b"],", np.uint8)
+    edges, count = [start], 1  # count: marks before the window, the array's [ included
+    for offset, at, marks in _marks(data, start + 1):
+        phase = (count - 1) % width
+        differ = np.flatnonzero(marks != np.resize(np.roll(period, -phase), len(marks)))
+        stop = differ[0] if differ.size else len(marks)
+        first = -count % (width * CHUNK)  # the window's first chunk edge
+        edges += (offset + at[first:stop:width * CHUNK]).tolist()
+        if differ.size:
+            end = count + stop
+            if end % width or marks[stop] != _CLOSE:
+                return None
+            edges.append(offset + at[stop])
+            break
+        count += len(marks)
+    else:
         return None
-    # the mark before each chunk's first sample, then the array's ]
-    edges = [*(start + at[:a * width:width * CHUNK]), start + at[a * width]]
+    a = end // width
     out = np.empty((a, m, 2))
     for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         span = data[lo + 1:hi]
@@ -280,57 +321,86 @@ def _flat_samples(data: bytes, start: int):
     return out, edges[-1] + 1
 
 
-def _decode_object(text: str) -> dict:
-    """The top-level JSON object of ``text``, key by key, with a
-    "samples" value read flat where _flat_samples can. Raises ValueError
-    where the text is not a JSON object."""
+def _decoded(data: bytes, i: int, scan):
+    """(value, i + end) of scan(text) -> (value, end) on the text of data
+    from i: first on a _WINDOW of it, kept if the value ends three
+    characters before the window's end (a number such as 1.5 may go on
+    as 1.5e+7), else on the whole rest of it."""
+    text = data[i:i + _WINDOW].decode("ascii")
+    if i + _WINDOW < len(data):
+        try:
+            value, end = scan(text)
+            if end + 3 <= len(text):
+                return value, i + end
+        except ValueError:
+            pass
+        text = data[i:].decode("ascii")
+    value, end = scan(text)
+    return value, i + end
+
+
+def _decode_object(data: bytes) -> dict:
+    """The top-level JSON object of the ASCII bytes ``data``, key by key,
+    with a "samples" value read flat where _flat_samples can. Each other
+    key and value is decoded from a window of the bytes, so no decoded
+    copy of the whole file is made. Raises ValueError where the data is
+    not a JSON object."""
 
     def skip(i):  # past JSON whitespace
-        return json.decoder.WHITESPACE.match(text, i).end()
+        return _SKIP_SPACE(data, i).end()
 
     def expect(i, char):  # past char
-        if not text.startswith(char, i):
+        if not data.startswith(char, i):
             raise ValueError(f"expected {char!r} at {i}")
         return i + 1
 
-    doc, data = {}, None
-    i = skip(expect(skip(0), "{"))
-    more = not text.startswith("}", i)
+    doc = {}
+    i = skip(expect(skip(0), b"{"))
+    more = not data.startswith(b"}", i)
     while more:
-        key, i = json.decoder.scanstring(text, expect(i, '"'))
-        i = skip(expect(skip(i), ":"))
-        flat = None
-        if key == "samples" and text.isascii():
-            data = data or text.encode("ascii")
-            flat = _flat_samples(data, i)
-        doc[key], i = flat or _DECODER.raw_decode(text, i)
+        expect(i, b'"')
+        key, i = _decoded(data, i, lambda text: json.decoder.scanstring(text, 1))
+        i = skip(expect(skip(i), b":"))
+        flat = _flat_samples(data, i) if key == "samples" else None
+        doc[key], i = flat or _decoded(data, i, _DECODER.raw_decode)
         i = skip(i)
-        more = text.startswith(",", i)
+        more = data.startswith(b",", i)
         if more:
             i = skip(i + 1)
-    if skip(expect(i, "}")) != len(text):
+    if skip(expect(i, b"}")) != len(data):
         raise ValueError("extra data")
     return doc
 
 
-def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory file in any JSON layout. A document that the
-    object walk does not take goes to json.loads whole, so a malformed
-    file exits 4 with json's own message."""
+def _read_document(path: str) -> dict:
+    """The JSON document of a file. ASCII bytes go to the object walk;
+    what it does not take, and any other file, goes to json.loads as the
+    text that open() reads, so a malformed file exits 4 with json's own
+    message."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            doc = _decode_object(text)
+            if data.isascii():
+                return _decode_object(data)
         except (ValueError, RecursionError):
-            doc = json.loads(text)
+            pass
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        del data
+        return json.loads(text)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, undecodable bytes and an
         # integer literal past the int-to-str digit limit
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE)
-    return trajectory_from_dict(doc)
+
+
+def load_trajectory(path: str) -> Trajectory:
+    """Read a trajectory file in any JSON layout. Only the file's bytes
+    and the samples are held at once: the bytes are dropped before the
+    samples are validated."""
+    return trajectory_from_dict(_read_document(path))
 
 
 def _write_csv(path: str, header: list, table: np.ndarray):
@@ -340,7 +410,7 @@ def _write_csv(path: str, header: list, table: np.ndarray):
 
 
 def write_report(path_or_none, doc: dict):
-    text = json.dumps(doc, indent=1)
+    text = json.dumps(doc, indent=1, allow_nan=False)
     if path_or_none:
         _atomic_write(path_or_none, [text])
     _say(text)
@@ -456,15 +526,16 @@ def cmd_reconstruct_master(args) -> int:
     traj = _joint_trajectory(args.file, "reconstruct")
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
-    h_mean = ham.trajectory.samples.mean(axis=0)
+    h_mean, defect = ham.trajectory.samples.mean(axis=0), ham.antihermitian_defect
     _output_dir(args.out)
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
+    del ham  # H(t) is not held through the fit and the round trip
 
     unit = kinematics.unitarity_test(traj, max(tol, 1e-8))
     doc = {
         "unitary": unit.passed,
         "trace_power_drift": {str(k): v for k, v in unit.drift.items()},
-        "antihermitian_defect": ham.antihermitian_defect,
+        "antihermitian_defect": defect,
         "candidates": [],
     }
     if unit.passed:
@@ -501,6 +572,12 @@ def cmd_reconstruct_master(args) -> int:
             rt = dr.roundtrip_verify(traj, h_mean, [k for _, k in valid], frame.useq)
         except RuntimeError as exc:
             raise CliError(f"round trip: {exc}", EXIT_NO_CP)
+        finite = np.isfinite([rt.max_deviation, rt.max_marginal_a, rt.max_marginal_b]).all(axis=0)
+        if not finite.all():
+            names = ", ".join(entry["label"] for (entry, _), ok in zip(valid, finite) if not ok)
+            raise CliError(
+                f"round trip: the deviation of {names} from the samples is not finite", EXIT_NO_CP
+            )
         for j, (entry, _) in enumerate(valid):
             entry["roundtrip_deviation"] = float(rt.max_deviation[j])
             entry["roundtrip_marginals"] = [

@@ -203,7 +203,7 @@ def fit_diagonal_unital(branches: np.ndarray, dt: float) -> DiagonalFit:
     """
     r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
     rdot = diff_series(r, dt)
-    amp = np.max(np.abs(r), axis=0)
+    amp = np.maximum(r.max(axis=0), -r.min(axis=0))  # max |r_k|, with no |r| temporary
     active = tuple(int(i) for i in np.flatnonzero(amp > _ACTIVE_TOL))
     free = tuple(int(i) for i in np.flatnonzero(amp <= _ACTIVE_TOL))
     d = np.zeros(15)
@@ -371,12 +371,13 @@ def candidate_diagonals(fit: DiagonalFit):
     return out
 
 
-# grid times per block of lab-frame Liouvillians in roundtrip_verify: 256
-# (1 MB per candidate) ran as fast as 64, while 1024 and 4096 were slower.
-# Each RK4 step reads two new grid times, so the integrated states are
-# compared with the samples in blocks of _BLOCK // 2 steps, and the round
-# trip's memory is set by these two blocks, not by n.
-_BLOCK = 256
+# grid times per block of lab-frame Liouvillians in roundtrip_verify: 64
+# (256 kB per candidate) ran as fast as 256 (1 MB per candidate), while
+# 1024 and 4096 were slower. Each RK4 step reads two new grid times, so
+# the integrated states are compared with the samples in blocks of
+# _BLOCK // 2 steps, and the round trip's memory is set by these two
+# blocks, not by n.
+_BLOCK = 64
 # how far (in time) an RK4 stage may sit from a sample of the unitary grid
 _GRID_TOL = 1e-9
 
@@ -430,7 +431,8 @@ def roundtrip_verify(
     the samples _BLOCK // 2 steps at a time and only the running maxima
     are kept, so no array grows with n. The stack stops at the first
     step with a non-finite entry in any state, which raises RuntimeError
-    naming its time.
+    naming its time; a deviation of finite states past the float range
+    is returned as inf, with no warning.
     """
     stride = 2 if (traj.n - 1) % 2 == 0 else 1
     grid = useq if stride == 2 else useq.half_grid()
@@ -457,14 +459,16 @@ def roundtrip_verify(
     worst = np.zeros((4, len(ks)))
     for first in range(1, len(ref), len(states)):
         want = ref[first : first + len(states)]
-        with np.errstate(over="ignore", invalid="ignore"):  # _rk4_steps reports non-finite states
+        # _rk4_steps raises on a non-finite state; a deviation past the
+        # float range is returned as inf, for the caller to report
+        with np.errstate(over="ignore", invalid="ignore"):
             for j, rho in enumerate(islice(steps, len(want))):
                 states[j] = rho
-        diff = states[: len(want)] - want[:, np.newaxis]
-        np.maximum(worst, [
-            np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
-            np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
-            np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
-            np.max(np.abs(np.trace(states[: len(want)], axis1=-2, axis2=-1) - trace0), axis=0),
-        ], out=worst)
+            diff = states[: len(want)] - want[:, np.newaxis]
+            np.maximum(worst, [
+                np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
+                np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
+                np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
+                np.max(np.abs(np.trace(states[: len(want)], axis1=-2, axis2=-1) - trace0), axis=0),
+            ], out=worst)
     return RoundtripReport(*worst)

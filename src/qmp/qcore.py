@@ -4,7 +4,9 @@ Everything here works on plain complex numpy arrays. The state
 primitives take one d x d matrix, giving a float (or scalar
 StateReport), or a (..., d, d) stack, giving one result per matrix.
 All functions are pure: inputs are never mutated and results are
-freshly allocated, so values can be shared freely across threads.
+freshly allocated, so values can be shared freely across threads. A
+pass over a whole stack runs on slices of _CHUNK samples of its first
+axis, so its temporaries stay O(_CHUNK) whatever the stack's length.
 """
 
 from __future__ import annotations
@@ -47,6 +49,25 @@ SIGMA = np.array(
 # noise floor for 4x4 problems.
 PSD_EIG_TOL = 1e-10
 CHOLESKY_PIVOT_TOL = 1e-12
+# samples per slice of every pass over a whole (n, d, d) stack: it bounds
+# the pass's temporaries (256 kB per complex 4x4 temporary), not n
+_CHUNK = 1024
+
+
+def _chunks(n: int) -> list:
+    """Slices of at most _CHUNK samples that cover range(n) in order."""
+    return [slice(k, min(k + _CHUNK, n)) for k in range(0, n, _CHUNK)]
+
+
+def _joined(f, a: np.ndarray):
+    """f(a) of a per-matrix function with small results, computed on the
+    _CHUNK slices of a stack's first axis and joined; f(a) of one matrix."""
+    if a.ndim < 3 or len(a) <= _CHUNK:
+        return f(a)
+    parts = [f(a[part]) for part in _chunks(len(a))]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -58,7 +79,7 @@ def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not _joined(lambda x: np.isfinite(x).all(axis=(-2, -1)), a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -70,12 +91,16 @@ def _per_matrix(x):
 
 def hermiticity_defect(a: np.ndarray):
     """max |a - a^dag| of a matrix, or of each matrix of a stack."""
-    return _per_matrix(np.abs(a - dag(a)).max(axis=(-2, -1)))
+    return _per_matrix(_joined(lambda x: np.abs(x - dag(x)).max(axis=(-2, -1)), a))
 
 
 def _require_hermitian(a: np.ndarray, caller: str, rtol: float = 1e-8):
     """Reject ``a`` unless every matrix is Hermitian relative to its scale."""
-    if np.any(hermiticity_defect(a) > rtol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))):
+
+    def hermitian(x):
+        return hermiticity_defect(x) <= rtol * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+
+    if not np.all(_joined(hermitian, a)):
         raise ValueError(f"{caller} expects a Hermitian matrix")
 
 
@@ -157,10 +182,13 @@ def validate_state(rho: np.ndarray, tol: float = 1e-9) -> StateReport:
     """Report how far ``rho`` (or each matrix of a stack) is from being a
     density matrix."""
     rho = _as_square(rho, "rho")
-    herm = hermiticity_defect(rho)
-    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    w = np.linalg.eigvalsh(0.5 * (rho + dag(rho)))
-    return StateReport(herm, _per_matrix(trace), _per_matrix(w[..., 0]), tol)
+
+    def defects(x):
+        trace = np.abs(np.trace(x, axis1=-2, axis2=-1) - 1.0)
+        w = np.linalg.eigvalsh(0.5 * (x + dag(x)))
+        return hermiticity_defect(x), trace, w[..., 0]
+
+    return StateReport(*map(_per_matrix, _joined(defects, rho)), tol)
 
 
 def cholesky_psd(rho: np.ndarray):
@@ -195,15 +223,22 @@ def cholesky_psd(rho: np.ndarray):
 
 def _trace_powers(rho: np.ndarray, ks) -> dict:
     """{k: real Tr(rho^k)} for each k in ``ks``, from one running product."""
-    acc, out = rho, {}
-    for k in range(1, max(ks, default=0) + 1):
-        if k > 1:
-            acc = acc @ rho
-        if k in ks:
-            t = np.trace(acc, axis1=-2, axis2=-1)
-            if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
-                raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
-            out[k] = t.real
+    powers = [k for k in range(1, max(ks, default=0) + 1) if k in ks]
+
+    def traces(x):
+        acc, out = x, []
+        for k in range(1, max(powers, default=0) + 1):
+            if k > 1:
+                acc = acc @ x
+            if k in powers:
+                out.append(np.trace(acc, axis1=-2, axis2=-1))
+        return tuple(out)
+
+    out = {}
+    for k, t in zip(powers, _joined(traces, rho)):
+        if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
+            raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
+        out[k] = t.real
     return out
 
 
@@ -225,7 +260,17 @@ def spectrum(h: np.ndarray, vectors: bool = False):
     h = _as_square(h, "h")
     _require_hermitian(h, "spectrum")
     if not vectors:
-        return np.linalg.eigvalsh(h)
+        return _joined(np.linalg.eigvalsh, h)
+    if h.ndim < 3:
+        return _gauged_eigh(h)
+    w, v = np.empty(h.shape[:-1]), np.empty_like(h)
+    for part in _chunks(len(h)):
+        w[part], v[part] = _gauged_eigh(h[part])
+    return w, v
+
+
+def _gauged_eigh(h: np.ndarray):
+    """eigh of a Hermitian matrix or stack, in the gauge of spectrum."""
     w, v = np.linalg.eigh(h)
     lead = np.argmax(np.abs(v) > 1e-8, axis=-2)[..., np.newaxis, :]
     ph = np.take_along_axis(v, lead, axis=-2)
@@ -247,8 +292,9 @@ def diff_series(values: np.ndarray, dt: float) -> np.ndarray:
     values = np.asarray(values)
     if values.shape[0] < 3:
         raise ValueError("need at least 3 samples")
-    d = np.empty_like(values, dtype=float if values.dtype.kind == "f" else values.dtype)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
+    d = np.empty_like(values, dtype=values.dtype if values.dtype.kind == "c" else float)
+    np.subtract(values[2:], values[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * dt
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
     return d

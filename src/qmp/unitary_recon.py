@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .qcore import Trajectory, dag, diff_series, hermiticity_defect, spectrum
+from .qcore import Trajectory, _chunks, dag, diff_series, hermiticity_defect, spectrum
 
 __all__ = [
     "EvolutionSequence",
@@ -36,7 +36,6 @@ SPECTRUM_DRIFT_TOL = 1e-8
 # squared overlap a step's label match may leave between degeneracy blocks;
 # a clean step leaves its squared rotation angle, a wrong match above 0.7
 BLOCK_LEAK_TOL = 0.25
-_CHUNK = 4096  # samples per batched pass, which bounds its temporaries
 # how far det z may be from 1, and (times 100) u from unitary, in iwasawa_decompose
 IWASAWA_TOL = 1e-10
 
@@ -82,7 +81,8 @@ class EvolutionSequence:
         if u.ndim != 3 or u.shape[1] != u.shape[2]:
             raise ValueError("u must have shape (n, d, d)")
         eye = np.eye(u.shape[1])
-        worst = float(np.max(np.abs(u @ dag(u) - eye)))
+        defects = [np.max(np.abs(u[part] @ dag(u[part]) - eye)) for part in _chunks(len(u))]
+        worst = float(np.max(defects))
         if worst > 1e-10:
             raise ValueError(f"sequence is not unitary (defect {worst:g})")
         if np.max(np.abs(u[0] - eye)) > 1e-10:
@@ -105,10 +105,11 @@ class EvolutionSequence:
         ||log(U_i^dag U_{i+1})|| < pi that is exactly the geodesic
         midpoint U_i (U_i^dag U_{i+1})^{1/2}.
         """
-        w, _, vh = np.linalg.svd(self.u[:-1] + self.u[1:])
         u = np.empty((2 * self.n - 1,) + self.u.shape[1:], dtype=complex)
         u[::2] = self.u
-        u[1::2] = w @ vh
+        for part in _chunks(self.n - 1):
+            w, _, vh = np.linalg.svd(self.u[:-1][part] + self.u[1:][part])
+            u[1::2][part] = w @ vh
         return EvolutionSequence(self.t0, 0.5 * self.dt, u)
 
 
@@ -193,43 +194,50 @@ def _continue_frames(traj: Trajectory):
     if d > 4:
         raise ValueError(f"eigenframe continuation supports dim <= 4, got dim {d}")
     ws, vs = spectrum(traj.samples, vectors=True)
-    ids = _block_ids(ws)
+    ids0 = _block_ids(ws[0])
     order = np.argsort(-ws[0], kind="stable")
     v0 = vs[0][:, order]
     # e0 sorts to descending order. Inside a degenerate block of rho(t0)
     # eigh's basis is arbitrary; take the one diagonalizing rho(t1) there
     # (columns nearest eigh's order), so the frame does not jump at a split.
     e0 = np.eye(d, dtype=complex)[:, order]
-    for k in range(ids[0, -1] + 1):
-        b = np.flatnonzero(ids[0][order] == k)
+    for k in range(ids0[-1] + 1):
+        b = np.flatnonzero(ids0[order] == k)
         if len(b) > 1:
             _, c = np.linalg.eigh(dag(v0[:, b]) @ traj.samples[1] @ v0[:, b])
             e0[:, b] = e0[:, b] @ c[:, _best_permutation(np.abs(c) ** 2)]
     e = np.empty((n, d, d), dtype=complex)  # e[i]: A_i, then R_i, then E_i
     e[0] = e0
-    np.matmul(dag(vs[1:]), vs[:-1], out=e[1:])
-    score = np.abs(e[1:].transpose(0, 2, 1)) ** 2
-    parts = [slice(k, k + _CHUNK) for k in range(0, n - 1, _CHUNK)]
-    sigma = np.concatenate([_best_permutation(score[part]) for part in parts])
-    blocks = np.take_along_axis(ids[1:], sigma, axis=1)  # the block each column goes to
-    changed = (ids[:-1, :, None] == ids[:-1, None, :]) != (blocks[:, :, None] == blocks[:, None, :])
-    leak = np.sum(score * (blocks[:, :, None] != ids[1:, None, :]), axis=(1, 2))
-    resets = (np.flatnonzero(changed.any(axis=(1, 2)) | (leak > BLOCK_LEAK_TOL)) + 1).tolist()
-    del score
-    for part in parts:
-        e[1:][part] = _aligned(e[1:][part], ids[1:][part], sigma[part])
-    labels = np.vstack([order, sigma])
+    labels = np.empty((n, d), dtype=np.int8)  # labels[i]: sigma_i, then P_i
+    labels[0] = order
+    resets = []
+    # step i of these views goes from sample i to sample i + 1
+    a, sigma, v_from, v_to = e[1:], labels[1:], vs[:-1], vs[1:]
+    for part in _chunks(n - 1):
+        ids = _block_ids(ws[part.start:part.stop + 1])  # of the part's steps' samples
+        ids_from, ids_to = ids[:-1], ids[1:]
+        np.matmul(dag(v_to[part]), v_from[part], out=a[part])
+        score = np.abs(a[part].transpose(0, 2, 1)) ** 2
+        sigma[part] = _best_permutation(score)
+        blocks = np.take_along_axis(ids_to, sigma[part], axis=1)  # the block each column goes to
+        same = ids_from[:, :, None] == ids_from[:, None, :]
+        changed = same != (blocks[:, :, None] == blocks[:, None, :])
+        leak = np.sum(score * (blocks[:, :, None] != ids_to[:, None, :]), axis=(1, 2))
+        reset = changed.any(axis=(1, 2)) | (leak > BLOCK_LEAK_TOL)
+        resets += (np.flatnonzero(reset) + part.start + 1).tolist()
+        a[part] = _aligned(a[part], ids_to, sigma[part])
     for start, stop in zip([0] + resets, resets + [n]):
         if start:
             overlap = dag(vs[start]) @ (vs[start - 1] @ e[start - 1])
             labels[start] = _best_permutation(np.abs(overlap.T) ** 2)
-            e[start] = _aligned(overlap, ids[start], labels[start])
+            e[start] = _aligned(overlap, _block_ids(ws[start]), labels[start])
         for i in range(start + 1, stop):
             e[i] = e[i] @ e[i - 1]
         _compose(labels[start:stop])
-    for part in (slice(k, k + _CHUNK) for k in range(0, n, _CHUNK)):
+    for part in _chunks(n):  # the frames and the branches, in place
         vs[part] = vs[part] @ e[part]
-    return vs, np.take_along_axis(ws, labels, axis=1)
+        ws[part] = np.take_along_axis(ws[part], labels[part], axis=1)
+    return vs, ws
 
 
 def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
@@ -239,8 +247,10 @@ def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
     continuation's label order, alongside U(t) = V(t) V(t0)^dag.
     """
     frames, branches = _continue_frames(traj)
-    u = np.einsum("nij,jk->nik", frames, dag(frames[0]))
-    return EigenframeResult(EvolutionSequence(traj.t0, traj.dt, u), branches, frames[0].copy())
+    v0 = frames[0].copy()
+    for part in _chunks(traj.n):  # U(t) = V(t) V0^dag, in place of the frames
+        frames[part] = np.einsum("nij,jk->nik", frames[part], dag(v0))
+    return EigenframeResult(EvolutionSequence(traj.t0, traj.dt, frames), branches, v0)
 
 
 def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
@@ -275,9 +285,14 @@ def hamiltonian_from_evolution(seq: EvolutionSequence) -> HamiltonianResult:
     traceless, with the worst pre-symmetrization defect reported. The
     result does not depend on a constant right gauge factor of U.
     """
-    h = 1j * np.einsum("nij,nkj->nik", diff_series(seq.u, seq.dt), seq.u.conj())
-    defect = float(np.max(hermiticity_defect(h)))
-    h = 0.5 * (h + np.conj(np.transpose(h, (0, 2, 1))))
-    tr = np.trace(h, axis1=1, axis2=2).real / h.shape[1]
-    h -= tr[:, np.newaxis, np.newaxis] * np.eye(h.shape[1])
-    return HamiltonianResult(Trajectory(seq.t0, seq.dt, h), defect)
+    u = np.asarray(seq.u)
+    h = diff_series(u, seq.dt)  # dU/dt, overwritten by H(t) one chunk at a time
+    defects = []
+    for part in _chunks(len(u)):
+        hp = 1j * np.einsum("nij,nkj->nik", h[part], u[part].conj())
+        defects.append(np.max(hermiticity_defect(hp)))
+        hp = 0.5 * (hp + np.conj(np.transpose(hp, (0, 2, 1))))
+        tr = np.trace(hp, axis1=1, axis2=2).real / hp.shape[1]
+        hp -= tr[:, np.newaxis, np.newaxis] * np.eye(hp.shape[1])
+        h[part] = hp
+    return HamiltonianResult(Trajectory(seq.t0, seq.dt, h), float(np.max(defects)))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qmp import cli
+from qmp import dissipative_recon as dr
 from qmp.cli import (
     CHUNK,
     EXIT_INVALID,
@@ -268,18 +270,22 @@ def test_reader_matches_nested_oracle(tmp_path, monkeypatch, text):
     monkeypatch.setattr(cli, "CHUNK", 2)
     path = tmp_path / "t.json"
     path.write_bytes(text.encode())
-    _assert_reads_as_oracle(path)
-    # the object walk itself takes every JSON object, with no fallback
-    text = path.read_text()
+    oracle = _outcome(load_trajectory_nested, path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text())
     except (ValueError, RecursionError):
-        return
-    if isinstance(doc, dict):
-        walked = cli._decode_object(text)
-        if isinstance(walked.get("samples"), np.ndarray):
-            walked["samples"] = walked["samples"].tolist()
-        assert json.dumps(walked) == json.dumps(doc)
+        doc = None
+    # scan windows of a few bytes put the window edges inside the marks
+    # of each sample, inside keys and values, and at the chunk edges
+    for window in (1, 5, 64, 1 << 16):
+        monkeypatch.setattr(cli, "_WINDOW", window)
+        assert _outcome(load_trajectory, path) == oracle
+        # the object walk itself takes every ASCII JSON object, with no fallback
+        if isinstance(doc, dict) and text.isascii():
+            walked = cli._decode_object(path.read_bytes())
+            if isinstance(walked.get("samples"), np.ndarray):
+                walked["samples"] = walked["samples"].tolist()
+            assert json.dumps(walked) == json.dumps(doc)
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
@@ -311,7 +317,7 @@ def test_multi_chunk_file_reads_flat(tmp_path):
     traj = scenario_example1(2.0).joint(0.0, 1e-3, 5 * CHUNK // 2)
     for layout in _LAYOUTS.values():
         text = json.dumps(trajectory_to_dict(traj, {"J": 2.0}), **layout)
-        doc = cli._decode_object(text)
+        doc = cli._decode_object(text.encode())
         samples = doc.pop("samples")
         assert isinstance(samples, np.ndarray)
         assert samples.tobytes() == np.ascontiguousarray(traj.samples).view(float).tobytes()
@@ -579,6 +585,72 @@ class TestReconstructCommands:
         err = capsys.readouterr().err
         assert err == "error: round trip: integration produced non-finite values at t=22.11\n"
         assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
+
+    def test_master_round_trip_deviation_overflow_exits_3(self, tmp_path, capsys):
+        # two steps short of the grid above, every state stays finite, but
+        # the last ones pass 1e154, where the Frobenius norm overflows
+        out = tmp_path / "ex3"
+        run("scenario", "example3", "--gamma", 3000, "--t-max", 22.1, "--steps", 4420, "--out", out)
+        capsys.readouterr()
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_NO_CP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: round trip: the deviation of single:4, single:7, single:8, single:11"
+            " from the samples is not finite\n"
+        )
+        assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
+
+    def test_report_refuses_non_finite_values(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_report(str(path), {"roundtrip_deviation": float("inf")})
+        assert not path.exists()
+
+
+def _traced_peak(f, *args):
+    """Peak bytes that tracemalloc sees while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the parse scratch of one CHUNK of samples (its text and its Python floats)
+# and the state check of one chunk, whatever n
+_LOAD_SCRATCH = 4_000_000
+
+
+def test_loader_holds_only_the_file_and_the_samples(tmp_path):
+    for n in (4001, 16001):
+        path = tmp_path / f"{n}.json"
+        write_trajectory(str(path), scenario_example3(2.0, 0.2).joint(0.0, 1e-3, n))
+        samples = n * 16 * 16  # bytes of the complex (n, 4, 4) stack
+        bound = path.stat().st_size + samples + _LOAD_SCRATCH
+        assert _traced_peak(load_trajectory, str(path)) <= bound, n
+
+
+def test_reconstruct_master_memory_does_not_grow_past_its_stacks(tmp_path, monkeypatch, capsys):
+    # past a scratch set by the chunk and block sizes, reconstruct master
+    # holds per sample the sample, U(t) and H(t) (until hamiltonian.json
+    # is written), 256 bytes each, and the 4 eigenvalue branches, 32 bytes.
+    # Small Liouvillian blocks keep the round trip's own fixed scratch,
+    # whose bound test_dissipative_recon checks, from hiding the rest.
+    monkeypatch.setattr(dr, "_BLOCK", 16)
+
+    def excess(n):
+        path = tmp_path / f"{n}.json"
+        write_trajectory(str(path), scenario_example3(2.0, 0.2).joint(0.0, 10.0 / (n - 1), n))
+        rec = tmp_path / f"master{n}"
+        peak = _traced_peak(run, "reconstruct", "master", path, "--out", rec)
+        report = json.loads((rec / "report.json").read_text())
+        assert any(c["cp_valid"] for c in report["candidates"])
+        return peak - n * (3 * 256 + 32)
+
+    assert excess(8001) <= 1.03 * excess(2001)
 
 
 class TestMeasuresCommand:
