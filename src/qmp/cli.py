@@ -60,7 +60,7 @@ from itertools import chain
 import numpy as np
 
 from . import bloch, dissipative_recon as dr, kinematics, measures, unitary_recon as ur
-from .qcore import Trajectory, _chunks, partial_trace, validate_state
+from .qcore import Trajectory, _joined, partial_trace, validate_state
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -165,16 +165,6 @@ def _field(doc: dict, name: str, kind):
         raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
 
 
-def _first_non_finite(samples: np.ndarray):
-    """Index of the first sample (row of the first axis) with a non-finite
-    entry, or None."""
-    for part in _chunks(len(samples)):
-        finite = np.isfinite(samples[part]).all(axis=tuple(range(1, samples.ndim)))
-        if not finite.all():
-            return part.start + int(np.argmin(finite))
-    return None
-
-
 def trajectory_from_dict(doc: dict) -> Trajectory:
     """Decode a trajectory document; any schema violation exits 4.
 
@@ -198,9 +188,9 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
             f"samples must be ({n}, {dim * dim}, 2) numbers, got {pairs.dtype} {pairs.shape}",
             EXIT_PARSE,
         )
-    bad = _first_non_finite(pairs)
-    if bad is not None:
-        raise CliError(f"sample {bad} has a non-finite entry", EXIT_PARSE)
+    finite = _joined(lambda x: np.isfinite(x).all(axis=(1, 2)), pairs)
+    if not finite.all():
+        raise CliError(f"sample {np.argmin(finite)} has a non-finite entry", EXIT_PARSE)
     try:
         samples = pairs.astype(float, copy=False).view(complex).reshape(n, dim, dim)
         traj = Trajectory(t0, dt, samples)
@@ -219,9 +209,14 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
     that json writes). A non-finite sample exits 2 naming it, and
     nothing is written."""
     pairs = np.ascontiguousarray(traj.samples).view(float).reshape(traj.n, -1)
-    bad = _first_non_finite(pairs)
-    if bad is not None:
-        raise CliError(f"sample {bad} has a non-finite entry; {path} not written", EXIT_INVALID)
+    finite = _joined(
+        lambda x: np.isfinite(x).all(axis=(1, 2)), pairs.reshape(traj.n, traj.dim**2, 2)
+    )
+    if not finite.all():
+        raise CliError(
+            f"sample {np.argmin(finite)} has a non-finite entry; {path} not written",
+            EXIT_INVALID,
+        )
     head = json.dumps(
         {"dim": traj.dim, "t0": traj.t0, "dt": traj.dt, "n": traj.n, "params": params or {}},
         separators=(",", ":"),

@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .qcore import Trajectory, _chunks, dag, diff_series, hermiticity_defect, spectrum
+from .qcore import Trajectory, _chunks, _joined, dag, diff_series, hermiticity_defect, spectrum
 
 __all__ = [
     "EvolutionSequence",
@@ -81,8 +81,7 @@ class EvolutionSequence:
         if u.ndim != 3 or u.shape[1] != u.shape[2]:
             raise ValueError("u must have shape (n, d, d)")
         eye = np.eye(u.shape[1])
-        defects = [np.max(np.abs(u[part] @ dag(u[part]) - eye)) for part in _chunks(len(u))]
-        worst = float(np.max(defects))
+        worst = float(_joined(lambda x: np.abs(x @ dag(x) - eye).max(axis=(-2, -1)), u).max())
         if worst > 1e-10:
             raise ValueError(f"sequence is not unitary (defect {worst:g})")
         if np.max(np.abs(u[0] - eye)) > 1e-10:
@@ -285,7 +284,7 @@ def hamiltonian_from_evolution(seq: EvolutionSequence) -> HamiltonianResult:
     traceless, with the worst pre-symmetrization defect reported. The
     result does not depend on a constant right gauge factor of U.
     """
-    u = np.asarray(seq.u)
+    u = np.asarray(seq.u, dtype=complex)
     h = diff_series(u, seq.dt)  # dU/dt, overwritten by H(t) one chunk at a time
     defects = []
     for part in _chunks(len(u)):

@@ -137,6 +137,14 @@ class TestHamiltonianFromEvolution:
         out = hamiltonian_from_evolution(seq)
         np.testing.assert_allclose(out.trajectory.samples, np.broadcast_to(h, (50, 4, 4)), atol=1e-5)
         assert out.antihermitian_defect < 10 * dt**2
+        # sigma_y x I turns by a real rotation: a duck-typed sequence of
+        # real matrices still gives the purely imaginary H
+        from types import SimpleNamespace
+
+        h = np.kron(SIGMA[2], SIGMA[0])
+        u = np.array([expm(-1j * h * i * dt).real for i in range(50)])
+        out = hamiltonian_from_evolution(SimpleNamespace(t0=0.0, dt=dt, u=u))
+        np.testing.assert_allclose(out.trajectory.samples, np.broadcast_to(h, (50, 4, 4)), atol=1e-5)
 
     def test_exchange_model_coefficients(self):
         j = 2.0
