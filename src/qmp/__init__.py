@@ -1,7 +1,8 @@
 """Two-qubit time-dependent quantum marginal problems.
 
-Kinematics: assemble and classify joint density-matrix trajectories
-compatible with prescribed single-qubit marginal trajectories.
+Kinematics: test whether a joint density-matrix trajectory can evolve
+unitarily, and whether prescribed single-qubit marginal trajectories
+admit a unitarily evolving joint trajectory.
 Dynamics: reconstruct the unitary (Hamiltonian) or dissipative (GKSL)
 generator realizing a given joint trajectory, certify complete
 positivity, and verify round trips by re-integration.
@@ -22,7 +23,6 @@ from .bloch import (
     CoherenceVector,
     bloch_invariants,
     correlation_tensor,
-    from_coherence,
     invariants_series,
     pauli_decompose,
     to_coherence,
@@ -30,7 +30,6 @@ from .bloch import (
 )
 from .kinematics import (
     MarginalPair,
-    assemble_joint,
     isospectral_test,
     scenario_example1,
     scenario_example2,
@@ -42,7 +41,6 @@ from .unitary_recon import (
     EvolutionSequence,
     eigenframe_decompose,
     hamiltonian_from_evolution,
-    iwasawa_decompose,
     reconstruct_evolution,
 )
 from .dissipative_recon import (

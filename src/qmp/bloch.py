@@ -29,7 +29,6 @@ __all__ = [
     "CoherenceVector",
     "PauliDecomposition",
     "to_coherence",
-    "from_coherence",
     "correlation_tensor",
     "x_form",
     "bloch_invariants",
@@ -42,10 +41,6 @@ __all__ = [
 # np.kron forms it, so even the signs of the zero entries match kron's
 _BASIS16 = (SIGMA[:, None, :, None, :, None] * SIGMA[None, :, None, :, None, :]).reshape(16, 4, 4)
 _BASIS16.setflags(write=False)
-
-# masks of the table entries x, y (local terms) and z (correlations)
-_CORRELATION = np.pad(np.ones((3, 3)), (1, 0))
-_LOCAL = 1.0 - _CORRELATION - np.diag([1.0, 0.0, 0.0, 0.0])
 
 # largest imaginary part to_coherence accepts in a Pauli coefficient
 _REAL_TOL = 1e-10
@@ -74,11 +69,6 @@ def _table(rho: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[:-1] + (4, 4))
 
 
-def _expand(t: np.ndarray) -> np.ndarray:
-    """sum_ab t_ab G_ab for (..., 4, 4) coefficients."""
-    return np.tensordot(t.reshape(t.shape[:-2] + (16,)), _BASIS16, axes=1)
-
-
 def _first_bad(bad) -> str:
     """'' for one matrix; ' at sample i' (flat index) for a stack's first bad one."""
     return f" at sample {np.flatnonzero(bad)[0]}" if np.ndim(bad) else ""
@@ -104,29 +94,6 @@ class CoherenceVector:
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
-    @property
-    def table(self) -> np.ndarray:
-        """The real Pauli table T with T_00 = 1."""
-        t = np.ones(self.z.shape[:-2] + (4, 4))
-        t[..., 1:, 0] = self.x
-        t[..., 0, 1:] = self.y
-        t[..., 1:, 1:] = self.z
-        return t
-
-    def as_vector(self) -> np.ndarray:
-        """The 15-vector r_k = T[k // 4, k % 4], k = 1..15, shape (..., 15)."""
-        t = self.table
-        return t.reshape(t.shape[:-2] + (16,))[..., 1:]
-
-    @staticmethod
-    def from_vector(r) -> "CoherenceVector":
-        r = np.asarray(r, dtype=float)
-        return _from_table(np.insert(r, 0, 1.0, axis=-1).reshape(r.shape[:-1] + (4, 4)))
-
-
-def _from_table(t: np.ndarray) -> CoherenceVector:
-    return CoherenceVector(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
-
 
 def to_coherence(rho: np.ndarray) -> CoherenceVector:
     """Coherence vector of a (Hermitian) 4x4 state or of each of a stack."""
@@ -135,13 +102,8 @@ def to_coherence(rho: np.ndarray) -> CoherenceVector:
     t = _table(rho)
     if np.max(np.abs(t.imag)) > _REAL_TOL:
         raise ValueError("coherence coefficients are not real")
-    return _from_table(t.real)
-
-
-def from_coherence(v: CoherenceVector) -> np.ndarray:
-    """Rebuild the 4x4 matrix (or stack); Hermitian and unit trace, not
-    necessarily PSD."""
-    return 0.25 * _expand(v.table)
+    t = t.real
+    return CoherenceVector(t[..., 1:, 0], t[..., 0, 1:], t[..., 1:, 1:])
 
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
@@ -239,19 +201,6 @@ class PauliDecomposition:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "h", h.reshape(h.shape[:-2] + (4, 4)))
-
-    @property
-    def identity(self):
-        return _per_matrix(self.h[..., 0, 0])
-
-    def local_part(self) -> np.ndarray:
-        return _expand(self.h * _LOCAL)
-
-    def interaction_part(self) -> np.ndarray:
-        return _expand(self.h * _CORRELATION)
-
-    def reconstruct(self) -> np.ndarray:
-        return _expand(self.h)
 
 
 def pauli_decompose(h: np.ndarray) -> PauliDecomposition:

@@ -20,20 +20,22 @@ anything else through json, with the same exit code and message.
 Exit codes: 0 success, 2 validation failure (an invalid state, a
 non-finite sample to be written, or a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures;
-nothing is written then), 3 no CP-valid
-candidate, or a round trip that reaches a non-finite state, named with
-its time, or a non-finite deviation from the samples, named with its
-candidates (the CP-valid candidates integrate as one stack, so one that
-diverges ends the round trip of all of them; report.json is not
-written), 4 parse error: unreadable JSON (undecodable bytes, invalid
-or too deeply nested JSON) or any schema violation (a
-missing or mistyped field, a sample of the wrong shape, a non-finite
-number, n < 3, dt <= 0), reported with the field or sample index, or a
-bad argument (--steps < 2, or a --t-max, --tol or QMP_TOL that is not
-a finite number > 0), reported with the option's name, or an --out
-that cannot be written (a file where a directory is wanted, a directory
-where a file is wanted, no permission), reported with the path. A
-reader that closes standard output early does not change the exit code.
+nothing is written then), 3 no CP-valid candidate, or a round trip
+that reaches a non-finite state, named with its time, or a non-finite
+deviation from the samples, named with its candidates (the CP-valid
+candidates integrate as one stack, so one that diverges ends the round
+trip of all of them; report.json is not written), 4 parse error:
+unreadable JSON (undecodable bytes, invalid or too deeply nested JSON)
+or any schema violation (a missing or mistyped field, a sample of the
+wrong shape, a non-finite number, n < 3, dt <= 0), reported with the
+field or sample index; or a bad argument, reported with the option's
+name: one the parser rejects (an unknown command or option, a missing
+one, a value that is not a number), --steps < 2, a --t-max, --J,
+--omega, --tol or QMP_TOL that is not a finite number > 0, or a
+--gamma that is not a finite number >= 0; or an --out that cannot be
+written (a file where a directory is wanted, a directory where a file
+is wanted, no permission), reported with the path. A reader that
+closes standard output early does not change the exit code.
 The env var QMP_TOL overrides the default tolerance 1e-10 used by the
 checks, and check's --tol overrides both. The tolerance sets the
 unitarity verdict of a joint file (the drift of Tr rho^k for k = 2..4)
@@ -76,14 +78,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _positive_finite(raw, name: str) -> float:
-    """float(raw) if it is a finite number > 0, else exit 4 naming ``name``."""
+def _positive_finite(raw, name: str, zero_ok: bool = False) -> float:
+    """float(raw) if it is a finite number > 0 (or >= 0 with ``zero_ok``),
+    else exit 4 naming ``name``."""
     try:
         value = float(raw)
     except ValueError:
         value = float("nan")
-    if not (np.isfinite(value) and value > 0.0):
-        raise CliError(f"{name} must be a finite number > 0, got {raw!r}", EXIT_PARSE)
+    if not (np.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise CliError(f"{name} must be a finite number {bound}, got {raw!r}", EXIT_PARSE)
     return value
 
 
@@ -420,6 +424,9 @@ def cmd_scenario(args) -> int:
     if args.steps < 2:
         raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_PARSE)
     t_max = _positive_finite(args.t_max, "--t-max")
+    _positive_finite(args.J, "--J")
+    _positive_finite(args.omega, "--omega")
+    _positive_finite(args.gamma, "--gamma", zero_ok=True)
     name = args.name
     if name == "example1":
         sc = kinematics.scenario_example1(args.J)
@@ -644,7 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad argument, 0 after --help
+        return EXIT_PARSE if exc.code == 2 else exc.code
     if getattr(args, "command", None) == "check" and len(args.files) > 2:
         _say("check takes one joint file or two marginal files", sys.stderr)
         return EXIT_PARSE

@@ -47,7 +47,7 @@ from .qcore import (
     partial_trace,
     spectrum,
 )
-from .unitary_recon import EvolutionSequence
+from .unitary_recon import EvolutionSequence, _half_grid
 
 __all__ = [
     "AffineGenerator",
@@ -376,17 +376,19 @@ def candidate_diagonals(fit: DiagonalFit):
 # 1024 and 4096 were slower. Each RK4 step reads two new grid times, so
 # the integrated states are compared with the samples in blocks of
 # _BLOCK // 2 steps, and the round trip's memory is set by these two
-# blocks, not by n.
+# blocks, not by n. Even, so that a block of the half grid starts on a sample.
 _BLOCK = 64
-# how far (in time) an RK4 stage may sit from a sample of the unitary grid
+# how far (in time) an RK4 stage may sit from a time of the unitary grid
 _GRID_TOL = 1e-9
 
 
-def _grid_index(useq: EvolutionSequence, t: float) -> int:
-    """Sample index of time t on the sequence grid; off-grid times raise."""
-    idx = (t - useq.t0) / useq.dt
+def _grid_index(useq: EvolutionSequence, t: float, half: bool = False) -> int:
+    """Index of time t on the sequence grid, or with ``half`` on the grid
+    of half its spacing (2n - 1 times, see _half_grid); off-grid times raise."""
+    dt, n = (0.5 * useq.dt, 2 * useq.n - 1) if half else (useq.dt, useq.n)
+    idx = (t - useq.t0) / dt
     i = int(round(idx))
-    if abs(idx - i) > _GRID_TOL / useq.dt or not 0 <= i < useq.n:
+    if abs(idx - i) > _GRID_TOL / dt or not 0 <= i < n:
         raise ValueError(f"time {t:g} is not on the unitary grid")
     return i
 
@@ -424,18 +426,18 @@ def roundtrip_verify(
     follows the interval count, so that every midpoint evaluation finds
     U on a sample: on an even count the steps are 2 dt and the midpoints
     are odd samples of ``useq`` (two intervals are one step); on an odd
-    count the steps are dt and the midpoints come from
-    ``useq.half_grid()``. Deviations are the max Frobenius distance of
-    the joint state and the max absolute entry deviation of each
-    marginal, over the integrated grid. The states are compared with
-    the samples _BLOCK // 2 steps at a time and only the running maxima
-    are kept, so no array grows with n. The stack stops at the first
-    step with a non-finite entry in any state, which raises RuntimeError
-    naming its time; a deviation of finite states past the float range
-    is returned as inf, with no warning.
+    count the steps are dt and each block's U, midpoints included, comes
+    from its slice of ``useq.u`` through _half_grid. Deviations are the
+    max Frobenius distance of the joint state and the max absolute entry
+    deviation of each marginal, over the integrated grid. The states are
+    compared with the samples _BLOCK // 2 steps at a time and only the
+    running maxima are kept, so no array grows with n. The stack stops
+    at the first step with a non-finite entry in any state, which raises
+    RuntimeError naming its time; a deviation of finite states past the
+    float range is returned as inf, with no warning.
     """
-    stride = 2 if (traj.n - 1) % 2 == 0 else 1
-    grid = useq if stride == 2 else useq.half_grid()
+    half = (traj.n - 1) % 2 == 1
+    stride = 1 if half else 2
     h = np.asarray(h, dtype=complex)
     eye = np.eye(4)
     lh = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -444,10 +446,11 @@ def roundtrip_verify(
 
     def rhs(t, rho):
         nonlocal start, block
-        i = _grid_index(grid, t)
+        i = _grid_index(useq, t, half)
         if not start <= i < start + _BLOCK:
             start = i - i % _BLOCK
-            block = _lab_frame(lk, grid.u[start : start + _BLOCK]) + lh
+            u = _half_grid(useq.u, start, _BLOCK) if half else useq.u[start : start + _BLOCK]
+            block = _lab_frame(lk, u) + lh
         return (block[i - start] @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
 
     rho0 = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))

@@ -1,10 +1,9 @@
 """Kinematic side of the time-dependent marginal problem.
 
-Tools to assemble compatible joint states from marginals plus a
-correlation tensor, to test whether a sampled joint trajectory can be
-unitary (constant trace powers), to test isospectrality of a marginal
-pair, and to compute the admissible window for the conserved population
-constant of the two-coherence ansatz. The three worked scenarios used
+Tools to test whether a sampled joint trajectory can be unitary
+(constant trace powers), to test isospectrality of a marginal pair, and
+to compute the admissible window for the conserved population constant
+of the two-coherence ansatz. The three worked scenarios used
 throughout the test suite are provided as samplers.
 """
 
@@ -15,22 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import (
-    Trajectory,
-    _trace_powers,
-    cholesky_psd,
-    dag,
-    partial_trace,
-    spectrum,
-)
-from .bloch import pauli_basis
+from .qcore import Trajectory, _trace_powers, dag, partial_trace, spectrum
 
 __all__ = [
     "MarginalPair",
     "UnitarityReport",
     "IsospectralReport",
     "WindowReport",
-    "assemble_joint",
     "unitarity_test",
     "isospectral_test",
     "unitary_window",
@@ -75,35 +65,15 @@ class WindowReport:
 
     ``exists`` is False when c_lo exceeds c_hi, which certifies that no
     unitarily evolving joint state is compatible with the marginals
-    within the two-coherence ansatz. d1/d2 are the zero-coherence block
-    products recorded at the window midpoint (None when no window).
+    within the two-coherence ansatz.
     """
 
     c_lo: float
     c_hi: float
-    d1: Optional[np.ndarray] = None
-    d2: Optional[np.ndarray] = None
 
     @property
     def exists(self) -> bool:
         return self.c_lo <= self.c_hi + 1e-12
-
-
-def assemble_joint(rho_a, rho_b, ztilde) -> Optional[np.ndarray]:
-    """Join two marginals with a correlation tensor, if the result is PSD.
-
-    Builds rho_a (x) rho_b + (1/4) sum_ij ztilde_ij sigma_i (x) sigma_j
-    and certifies positivity with the pivoted Cholesky test. Returns None
-    when the candidate has a negative direction.
-    """
-    rho_a = np.asarray(rho_a, dtype=complex)
-    rho_b = np.asarray(rho_b, dtype=complex)
-    zt = np.asarray(ztilde, dtype=float).reshape(3, 3)
-    g = pauli_basis().reshape(4, 4, 4, 4)[1:, 1:]  # sigma_i (x) sigma_j, i, j >= 1
-    cand = np.kron(rho_a, rho_b) + 0.25 * np.tensordot(zt, g, axes=2)
-    if cholesky_psd(cand) is None:
-        return None
-    return cand
 
 
 def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
@@ -182,15 +152,7 @@ def unitary_window(pair: MarginalPair) -> WindowReport:
     b = _fixed_eigenbasis_branches(pair.rho_b)
     g1 = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
     g2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    c_lo = _refined_extremum(g1)
-    c_hi = 1.0 - _refined_extremum(g2)
-    d1 = d2 = None
-    if c_lo <= c_hi + 1e-12:
-        c_mid = 0.5 * (c_lo + c_hi)
-        eps = 0.5 * (c_mid - (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]))
-        d1 = (a[:, 0] * b[:, 0] + eps) * (a[:, 1] * b[:, 1] + eps)
-        d2 = (a[:, 0] * b[:, 1] - eps) * (a[:, 1] * b[:, 0] - eps)
-    return WindowReport(c_lo, c_hi, d1, d2)
+    return WindowReport(_refined_extremum(g1), 1.0 - _refined_extremum(g2))
 
 
 # ---------------------------------------------------------------------------

@@ -303,14 +303,13 @@ def diff_series(values: np.ndarray, dt: float) -> np.ndarray:
 @dataclass(frozen=True)
 class IntegrationResult:
     """RK4 output: ``samples`` is (n_steps + 1, d, d) for one state, or
-    (n_steps + 1, c, d, d) for a stack of c; the drifts are per sample,
-    and per state of a stack."""
+    (n_steps + 1, c, d, d) for a stack of c; the trace drift is per
+    sample, and per state of a stack."""
 
     t0: float
     dt: float
     samples: np.ndarray = field(repr=False)
     trace_drift: np.ndarray = field(repr=False)
-    hermiticity_drift: np.ndarray = field(repr=False)
 
     @property
     def trajectory(self) -> Trajectory:
@@ -322,10 +321,6 @@ class IntegrationResult:
     @property
     def max_trace_drift(self):
         return _per_matrix(np.max(self.trace_drift, axis=0))
-
-    @property
-    def max_hermiticity_drift(self):
-        return _per_matrix(np.max(self.hermiticity_drift, axis=0))
 
 
 def _rk4_steps(generator, rho, t0: float, dt: float, n_steps: int):
@@ -351,8 +346,8 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
     ``rho0`` is one (d, d) matrix or a (c, d, d) stack of c states
     integrated together: ``generator`` gets and returns the whole stack,
     once per RK4 stage. Returns the n_steps + 1 samples with the trace
-    and Hermiticity drift of every state relative to its initial one; a
-    step with a non-finite entry in any state raises.
+    drift of every state relative to its initial one; a step with a
+    non-finite entry in any state raises.
     """
     rho = _as_square(rho0, "rho0")
     if rho.ndim > 3:
@@ -364,6 +359,4 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
     for i, state in enumerate(_rk4_steps(generator, rho, t0, dt, n_steps), 1):
         out[i] = state
     trace = np.trace(out, axis1=-2, axis2=-1)
-    return IntegrationResult(
-        t0, dt, out, np.abs(trace - trace[0]), hermiticity_defect(out)
-    )
+    return IntegrationResult(t0, dt, out, np.abs(trace - trace[0]))

@@ -9,7 +9,7 @@ overlap restricted to each degenerate eigenvalue block (a single
 eigenvector is a 1x1 block, whose polar factor is its phase fix), in
 batched passes plus single steps where the block partition changes or the
 match leaks between blocks. That stays smooth where coordinate charts
-(e.g. the Iwasawa/Gauss parametrization, for validation) become singular.
+become singular.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "EvolutionSequence",
     "EigenframeResult",
     "HamiltonianResult",
-    "iwasawa_decompose",
     "reconstruct_evolution",
     "eigenframe_decompose",
     "hamiltonian_from_evolution",
@@ -36,36 +35,6 @@ SPECTRUM_DRIFT_TOL = 1e-8
 # squared overlap a step's label match may leave between degeneracy blocks;
 # a clean step leaves its squared rotation angle, a wrong match above 0.7
 BLOCK_LEAK_TOL = 0.25
-# how far det z may be from 1, and (times 100) u from unitary, in iwasawa_decompose
-IWASAWA_TOL = 1e-10
-
-
-def iwasawa_decompose(z: np.ndarray):
-    """Factor an invertible matrix as z = u a r.
-
-    u is unitary, a positive diagonal with det a = 1, and r unit
-    upper-triangular, obtained from the Cholesky factorization of
-    z^dag z = r^dag a^2 r. The input must have unit determinant within
-    IWASAWA_TOL (rescale first otherwise).
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValueError("z must be square")
-    det = np.linalg.det(z)
-    if abs(det - 1.0) > IWASAWA_TOL:
-        raise ValueError(f"det z = {det:g}; rescale to unit determinant first")
-    g = dag(z) @ z
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("z is singular or too ill-conditioned") from exc
-    d = low.diagonal().real
-    a = np.diag(d.astype(complex))
-    r = dag(low / d[np.newaxis, :])  # unit upper-triangular
-    u = z @ np.linalg.inv(r) @ np.diag(1.0 / d)
-    if np.max(np.abs(u @ dag(u) - np.eye(len(d)))) > 100 * IWASAWA_TOL:
-        raise ValueError("factorization failed to produce a unitary factor")
-    return u, a, r
 
 
 @dataclass(frozen=True)
@@ -92,24 +61,19 @@ class EvolutionSequence:
     def n(self) -> int:
         return self.u.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
 
-    def half_grid(self) -> "EvolutionSequence":
-        """The sequence on the grid of spacing dt / 2.
-
-        Even samples are this sequence's; sample 2i + 1 is the polar
-        factor of U_i + U_{i+1}, from one batched SVD. While
-        ||log(U_i^dag U_{i+1})|| < pi that is exactly the geodesic
-        midpoint U_i (U_i^dag U_{i+1})^{1/2}.
-        """
-        u = np.empty((2 * self.n - 1,) + self.u.shape[1:], dtype=complex)
-        u[::2] = self.u
-        for part in _chunks(self.n - 1):
-            w, _, vh = np.linalg.svd(self.u[:-1][part] + self.u[1:][part])
-            u[1::2][part] = w @ vh
-        return EvolutionSequence(self.t0, 0.5 * self.dt, u)
+def _half_grid(u: np.ndarray, start: int, count: int) -> np.ndarray:
+    """U at times start, ..., start + count - 1 of the grid of half the
+    spacing of the samples u (start even; cut at the last sample): time
+    2i is u[i] and time 2i + 1 the polar factor of u[i] + u[i + 1], from
+    one batched SVD. While ||log(U_i^dag U_{i+1})|| < pi that is exactly
+    the geodesic midpoint U_i (U_i^dag U_{i+1})^{1/2}."""
+    v = u[start // 2 : (start + count) // 2 + 1]
+    out = np.empty((2 * len(v) - 1,) + v.shape[1:], dtype=complex)
+    out[::2] = v
+    w, _, vh = np.linalg.svd(v[:-1] + v[1:])
+    out[1::2] = w @ vh
+    return out[:count]
 
 
 @dataclass(frozen=True)

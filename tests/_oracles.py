@@ -2,14 +2,17 @@
 
 These deliberately take different routes than the production code
 (per-term application and term-by-term kron sums instead of one einsum
-over the Kossakowski matrix, eigenvalue tests instead of Cholesky
-pivots, one RK4 loop per state instead of one over a stack, a phase
-fix per eigenvector and an SVD per degenerate block instead of one
-masked polar factor per step, np.gradient instead of the package's
-difference stencil, nested lists through json instead of streamed
-%-templates and a flat read of the samples array) so that agreement
-between the two is meaningful. Nothing here calls qmp.dissipative_recon,
-qmp.unitary_recon or qmp.qcore.rk4_integrate. The file reader takes only
+over the Kossakowski matrix or the Pauli basis, one trace per generator
+instead of one einsum for the coherence vector, eigenvalue tests
+instead of Cholesky pivots, one RK4 loop per state instead of one over
+a stack, a phase fix per eigenvector and an SVD per degenerate block
+instead of one masked polar factor per step, a matrix square root per
+step instead of a batched SVD for the geodesic midpoints of U,
+np.gradient instead of the package's difference stencil, nested lists
+through json instead of streamed %-templates and a flat read of the
+samples array) so that agreement between the two is meaningful.
+Nothing here calls qmp.dissipative_recon, qmp.unitary_recon or
+qmp.qcore.rk4_integrate. The file reader takes only
 CliError and the schema checks of trajectory_from_dict from qmp.cli,
 which both readers share.
 """
@@ -17,10 +20,12 @@ which both readers share.
 import json
 
 import numpy as np
+from scipy.linalg import sqrtm
 from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import traceless_basis
 from qmp.cli import EXIT_PARSE, CliError, trajectory_from_dict
+from qmp.qcore import SIGMA
 
 
 def random_hermitian(rng, n=4, scale=1.0):
@@ -32,6 +37,35 @@ def random_state(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def pauli_sum(coeffs):
+    """sum_ab coeffs[a, b] sigma_a kron sigma_b of a 4x4 table, one
+    kron term at a time."""
+    return sum(coeffs[a, b] * np.kron(SIGMA[a], SIGMA[b]) for a in range(4) for b in range(4))
+
+
+def state_from_coherence(x, y, z):
+    """rho = (1/4)(I + sum_i x_i s_i (x) I + sum_j y_j I (x) s_j
+    + sum_ij z_ij s_i (x) s_j), by pauli_sum."""
+    t = np.ones((4, 4))
+    t[1:, 0], t[0, 1:], t[1:, 1:] = x, y, z
+    return 0.25 * pauli_sum(t)
+
+
+def coherence_vector(rho):
+    """r_k = Tr(rho G_k), k = 1..15, one trace per generator."""
+    return np.array([np.trace(rho @ g).real for g in traceless_basis()])
+
+
+def geodesic_half_grid(u):
+    """U on the grid of half the spacing of the (n, d, d) samples u: the
+    samples, and between U_i and U_{i+1} the geodesic midpoint
+    U_i (U_i^dag U_{i+1})^{1/2}, one principal square root per step."""
+    out = [u[0]]
+    for a, b in zip(u[:-1], u[1:]):
+        out += [a @ sqrtm(a.conj().T @ b), b]
+    return np.array(out)
 
 
 def dissipator_per_term(km, x):
@@ -90,8 +124,8 @@ def diagonal_rate_misfit(branches, dt, d_diag):
 def rk4_per_state(generator, rho0, t0, dt, n_steps):
     """Fixed-step RK4 for one d x d state, one Python step at a time.
 
-    Returns the (n_steps + 1, d, d) samples and the per-sample trace and
-    Hermiticity drift relative to the initial state.
+    Returns the (n_steps + 1, d, d) samples and the per-sample trace
+    drift relative to the initial state.
     """
     rho = np.array(rho0, dtype=complex)
     out = [rho]
@@ -106,8 +140,7 @@ def rk4_per_state(generator, rho0, t0, dt, n_steps):
         out.append(rho)
     out = np.array(out)
     trace = np.array([np.trace(s) for s in out])
-    herm = np.array([np.max(np.abs(s - s.conj().T)) for s in out])
-    return out, np.abs(trace - trace[0]), herm
+    return out, np.abs(trace - trace[0])
 
 
 def _descending_blocks(w, tol):

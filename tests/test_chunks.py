@@ -46,7 +46,6 @@ def _passes(traj):
         "frames": frames,
         "branches": branches,
         "u": frame.useq.u,
-        "half grid": frame.useq.half_grid().u,
         "h": ham.trajectory.samples,
         "h defect": ham.antihermitian_defect,
         "hermiticity": hermiticity_defect(traj.samples),

@@ -381,6 +381,13 @@ class TestScenarioCommand:
         assert run("scenario", "example2", "--omega", 1, "--t-max", 3.1, "--steps", 50, "--out", out) == EXIT_OK
         assert sorted(os.listdir(out)) == ["marginal_a.json", "marginal_b.json"]
 
+    def test_example3_takes_gamma_0(self, tmp_path):
+        # gamma >= 0: at 0 example3 is a pure unitary trajectory
+        out = tmp_path / "ex3"
+        assert run("scenario", "example3", "--gamma", 0, "--t-max", 1, "--steps", 10, "--out", out) == EXIT_OK
+        run("check", out / "joint.json", "--out", tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text())["verdict"] == "PASS"
+
 
 class TestCheckCommand:
     def test_unitary_joint(self, tmp_path):
@@ -700,22 +707,58 @@ def test_qmp_tol_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grid, named",
+    "argv, named",
     [
-        (["--t-max", 3, "--steps", 0], "--steps"),
-        (["--t-max", 3, "--steps", 1], "--steps"),
-        (["--t-max", "inf", "--steps", 10], "--t-max"),
-        (["--t-max", "nan", "--steps", 10], "--t-max"),
-        (["--t-max", 0, "--steps", 10], "--t-max"),
-        (["--t-max", -1, "--steps", 10], "--t-max"),
+        (["example1", "--t-max", 3, "--steps", 0], "--steps"),
+        (["example1", "--t-max", 3, "--steps", 1], "--steps"),
+        (["example1", "--t-max", "inf", "--steps", 10], "--t-max"),
+        (["example1", "--t-max", "nan", "--steps", 10], "--t-max"),
+        (["example1", "--t-max", 0, "--steps", 10], "--t-max"),
+        (["example1", "--t-max", -1, "--steps", 10], "--t-max"),
+        # values the parser itself rejects
+        (["example1", "--t-max", "abc", "--steps", 10], "--t-max"),
+        (["example1", "--t-max", 3, "--steps", "abc"], "--steps"),
+        (["example1", "--J", "abc", "--t-max", 3, "--steps", 10], "--J"),
+        # values the scenario samplers would only reject as an invalid state
+        (["example3", "--gamma", "nan", "--t-max", 3, "--steps", 10], "--gamma"),
+        (["example3", "--gamma", "inf", "--t-max", 3, "--steps", 10], "--gamma"),
+        (["example3", "--gamma", -1, "--t-max", 3, "--steps", 10], "--gamma"),
+        (["example3", "--J", "inf", "--t-max", 3, "--steps", 10], "--J"),
+        (["example1", "--J", 0, "--t-max", 3, "--steps", 10], "--J"),
+        (["example2", "--omega", "nan", "--t-max", 3, "--steps", 10], "--omega"),
     ],
-    ids=["steps-0", "steps-1", "t-max-inf", "t-max-nan", "t-max-0", "t-max-negative"],
+    ids=[
+        "steps-0", "steps-1", "t-max-inf", "t-max-nan", "t-max-0", "t-max-negative",
+        "t-max-abc", "steps-abc", "J-abc", "gamma-nan", "gamma-inf", "gamma-negative",
+        "J-inf", "J-0", "omega-nan",
+    ],
 )
-def test_bad_scenario_arguments_exit_4(tmp_path, capsys, grid, named):
-    out = tmp_path / "ex1"
-    assert run("scenario", "example1", *grid, "--out", out) == EXIT_PARSE
-    assert named in capsys.readouterr().err
+def test_bad_scenario_arguments_exit_4(tmp_path, capsys, argv, named):
+    out = tmp_path / "ex"
+    assert run("scenario", *argv, "--out", out) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "example1"], "simulate"),
+        (["scenario", "example1", "--t-max", 3, "--steps", 10], "--out"),
+        (["reconstruct", "master", "joint.json"], "--out"),
+    ],
+    ids=["unknown-command", "scenario-no-out", "reconstruct-no-out"],
+)
+def test_parser_errors_exit_4(capsys, argv, named):
+    # argparse's own exit 2 is the code of an invalid state, so it maps to 4
+    assert run(*argv) == EXIT_PARSE
+    assert named in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run("--help") == EXIT_OK
+    assert "usage: qmp" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

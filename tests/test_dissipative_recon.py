@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import nnls
 
-from qmp.bloch import to_coherence, traceless_basis
+from qmp.bloch import traceless_basis
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import Trajectory, rk4_integrate
 from qmp.unitary_recon import (
@@ -40,9 +40,11 @@ from qmp.dissipative_recon import (
 
 from _oracles import (
     affine_from_superoperator,
+    coherence_vector,
     diagonal_rate_misfit,
     dissipator_per_term,
     dissipator_superoperator,
+    geodesic_half_grid,
     random_hermitian,
     random_state,
     rk4_per_state,
@@ -92,7 +94,7 @@ class TestHamiltonianAction:
         h = random_hermitian(rng)
         rho = random_state(rng)
         m = hamiltonian_action(h)
-        r = to_coherence(rho).as_vector()
+        r = coherence_vector(rho)
         rhodot = -1j * (h @ rho - rho @ h)
         g = traceless_basis()
         rdot = np.einsum("kij,ji->k", g, rhodot).real
@@ -170,7 +172,7 @@ class TestFit:
     def test_branch_coherence_matches_to_coherence(self, branches):
         # the fit reads r = branches @ _DIAGONAL_COHERENCE, the coherence
         # vector of the diagonal states diag(branches)
-        want = to_coherence(branches[:, :, np.newaxis] * np.eye(4)).as_vector()
+        want = np.array([coherence_vector(np.diag(b)) for b in branches])
         np.testing.assert_allclose(branches @ _DIAGONAL_COHERENCE, want, rtol=0, atol=1e-15)
 
     def test_static_trajectory_fits_zero(self):
@@ -389,6 +391,13 @@ class TestRotateAndRoundtrip:
             _grid_index(seq, 0.25)
         with pytest.raises(ValueError, match="grid"):
             _grid_index(seq, 0.5)
+        # the grid of half the spacing has 2n - 1 times
+        assert _grid_index(seq, 0.25, half=True) == 5
+        assert _grid_index(seq, 0.4, half=True) == 8
+        with pytest.raises(ValueError, match="grid"):
+            _grid_index(seq, 0.225, half=True)
+        with pytest.raises(ValueError, match="grid"):
+            _grid_index(seq, 0.45, half=True)
 
     def test_rotated_dissipator_matches_residual(self):
         j, dt = 2.0, 5e-4
@@ -461,14 +470,12 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
 
     res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
     assert res.samples.shape == (n_steps + 1, c, 4, 4)
-    assert np.shape(res.max_trace_drift) == np.shape(res.max_hermiticity_drift) == (c,)
+    assert np.shape(res.max_trace_drift) == (c,)
     for j in range(c):
-        samples, trace_drift, herm_drift = rk4_per_state(single(j), rho0[j], 0.0, dt, n_steps)
+        samples, trace_drift = rk4_per_state(single(j), rho0[j], 0.0, dt, n_steps)
         np.testing.assert_allclose(res.samples[:, j], samples, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.trace_drift[:, j], trace_drift, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(res.hermiticity_drift[:, j], herm_drift, rtol=0, atol=1e-14)
         assert res.max_trace_drift[j] == pytest.approx(trace_drift.max(), rel=0, abs=1e-14)
-        assert res.max_hermiticity_drift[j] == pytest.approx(herm_drift.max(), rel=0, abs=1e-14)
 
     traj = Trajectory(0.0, dt / 2, np.array([random_state(r) for _ in range(2 * n_steps + 1)]))
     # 2 n_steps intervals: roundtrip_verify steps dt, with midpoints on useq
@@ -527,8 +534,8 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
     t0, dt = r.uniform(-1.0, 1.0), 1.0 / intervals
     z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
     useq = EvolutionSequence(t0, dt, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
-    # an odd count reads U on the half grid, which has its own test
-    u = useq.half_grid().u if odd else useq.u
+    # an odd count reads U on the half grid: the samples and the geodesic midpoints
+    u = geodesic_half_grid(useq.u) if odd else useq.u
     # the RK4 reads U at 2 * steps + 1 grid times, up to three blocks of
     # lab-frame Liouvillians
     assert len(u) == 2 * steps + 1
@@ -541,7 +548,7 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
     rep = roundtrip_verify(traj, h, [KossakowskiMatrix(km) for km in kms], useq)
     step = dt if odd else 2 * dt
     for j, km in enumerate(kms):
-        samples, _, _ = rk4_per_state(_lab_frame_oracle(h, km, u, t0, step), rho0, t0, step, steps)
+        samples, _ = rk4_per_state(_lab_frame_oracle(h, km, u, t0, step), rho0, t0, step, steps)
         diff = (samples - rho0).reshape(-1, 2, 2, 2, 2)
         assert rep.max_deviation[j] == pytest.approx(
             np.linalg.norm(diff.reshape(-1, 16), axis=1).max(), rel=1e-12
@@ -555,8 +562,9 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
 
 
 def test_roundtrip_memory_does_not_grow_with_n():
-    # the states are compared with the samples one block at a time, so the
-    # traced peak of four candidates is the same at 4 and 16 blocks
+    # the states are compared with the samples one block at a time, and on
+    # an odd interval count U on the half grid is built one block at a time,
+    # so the traced peak of four candidates is the same at 4 and 16 blocks
     def traced_peak(intervals):
         r = np.random.default_rng(intervals)
         z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
@@ -571,6 +579,7 @@ def test_roundtrip_memory_does_not_grow_with_n():
             tracemalloc.stop()
 
     assert traced_peak(16 * _BLOCK) <= 1.02 * traced_peak(4 * _BLOCK)
+    assert traced_peak(16 * _BLOCK + 1) <= 1.02 * traced_peak(4 * _BLOCK + 1)
 
 
 def test_affine_generator_validation():

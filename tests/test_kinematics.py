@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qmp.bloch import correlation_tensor
 from qmp.kinematics import (
     MarginalPair,
-    assemble_joint,
     isospectral_test,
     scenario_example1,
     scenario_example2,
@@ -18,29 +16,6 @@ from qmp.kinematics import (
     unitary_window,
 )
 from qmp.qcore import SIGMA, Trajectory, partial_trace
-
-from _oracles import random_state
-
-rng = np.random.default_rng(99)
-
-
-class TestAssembleJoint:
-    def test_product_state(self):
-        a = random_state(rng, 2)
-        b = random_state(rng, 2)
-        joint = assemble_joint(a, b, np.zeros((3, 3)))
-        np.testing.assert_allclose(joint, np.kron(a, b), atol=1e-14)
-
-    def test_reassembles_correlated_state(self):
-        rho = scenario_example1(2.0).joint_at(0.7)
-        a = partial_trace(rho, "B")
-        b = partial_trace(rho, "A")
-        joint = assemble_joint(a, b, correlation_tensor(rho))
-        np.testing.assert_allclose(joint, rho, atol=1e-12)
-
-    def test_rejects_unphysical_correlations(self):
-        a = np.diag([1.0, 0.0]).astype(complex)  # pure marginal: no room left
-        assert assemble_joint(a, a, np.diag([0.5, 0.5, 0.0])) is None
 
 
 class TestUnitarityTest:
@@ -99,7 +74,6 @@ class TestWindow:
         assert not w.exists
         assert w.c_lo == pytest.approx(1 / np.sqrt(2), abs=1e-7)
         assert w.c_hi == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-7)
-        assert w.d1 is None and w.d2 is None
 
     def test_compatible_marginals_have_window(self):
         pair = scenario_example1(2.0).marginals(0.0, np.pi / 500, 501)
@@ -107,9 +81,6 @@ class TestWindow:
         assert w.exists
         assert w.c_lo == pytest.approx(1 / 8, abs=1e-6)
         assert w.c_hi == pytest.approx(1.0, abs=1e-9)
-        # block products at the midpoint constant stay non-negative
-        assert np.min(w.d1) >= -1e-12
-        assert np.min(w.d2) >= -1e-12
 
     def test_rotating_marginal_rejected(self):
         # a marginal with a moving eigenbasis cannot be branch-labeled

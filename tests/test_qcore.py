@@ -147,7 +147,7 @@ class TestRk4:
         expect = 0.5 * np.exp(-2j * t)
         assert res.trajectory.samples[-1][0, 1] == pytest.approx(expect, abs=1e-10)
         assert res.max_trace_drift < 1e-12
-        assert res.max_hermiticity_drift < 1e-12
+        assert np.max(hermiticity_defect(res.samples)) < 1e-12
 
     def test_blowup_detected(self):
         def rhs(t, r):
@@ -217,4 +217,3 @@ def test_stack_primitives_match_per_sample_numpy(a):
     assert isinstance(rep1, StateReport) and type(rep1.ok) is bool
     assert all(type(f) is float for f in (rep1.hermiticity_defect, rep1.trace_defect, rep1.min_eigenvalue))
     assert spectrum(one).shape == (4,) and pauli_decompose(one).h.shape == (4, 4)
-    assert type(pauli_decompose(one).identity) is float

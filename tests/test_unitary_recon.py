@@ -15,10 +15,10 @@ from qmp.unitary_recon import (
     _aligned,
     _best_permutation,
     _block_ids,
+    _half_grid,
     EvolutionSequence,
     eigenframe_decompose,
     hamiltonian_from_evolution,
-    iwasawa_decompose,
     reconstruct_evolution,
 )
 
@@ -50,40 +50,6 @@ class TestOrbitRep:
         # a stack gives the blocks of each spectrum
         stacked = _block_ids(np.stack([ws, np.full(4, 0.25)]))
         np.testing.assert_array_equal(stacked, [[0, 1, 1, 2], [0, 0, 0, 0]])
-
-
-class TestIwasawa:
-    def test_identity(self):
-        u, a, r = iwasawa_decompose(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(a, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-12)
-
-    def test_shear_matrix(self):
-        w = 0.8 - 0.3j
-        z = np.array([[1, 0], [w, 1]], dtype=complex)
-        u, a, r = iwasawa_decompose(z)
-        norm = 1 / np.sqrt(1 + abs(w) ** 2)
-        expect_u = norm * np.array([[1, -np.conj(w)], [w, 1]])
-        np.testing.assert_allclose(u, expect_u, atol=1e-12)
-        np.testing.assert_allclose(u @ a @ r, z, atol=1e-12)
-
-    def test_random_unit_determinant(self):
-        for _ in range(10):
-            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            z /= np.linalg.det(z) ** (1 / 4)
-            u, a, r = iwasawa_decompose(z)
-            np.testing.assert_allclose(u @ dag(u), np.eye(4), atol=1e-10)
-            d = np.diag(a).real
-            assert np.all(d > 0)
-            assert np.prod(d) == pytest.approx(1.0, abs=1e-8)
-            assert np.allclose(np.tril(r, -1), 0)
-            np.testing.assert_allclose(np.diag(r), 1, atol=1e-12)
-            np.testing.assert_allclose(u @ a @ r, z, atol=1e-10)
-
-    def test_rejects_rescaled_input(self):
-        with pytest.raises(ValueError):
-            iwasawa_decompose(2 * np.eye(2, dtype=complex))
 
 
 class TestReconstructEvolution:
@@ -188,11 +154,14 @@ def test_half_grid_is_geodesic_midpoint():
     h = random_hermitian(np.random.default_rng(5))
     dt = 0.5 / np.max(np.abs(np.linalg.eigvalsh(h)))
     u = np.array([expm(-1j * h * i * dt) for i in range(7)])
-    half = EvolutionSequence(0.0, dt, u).half_grid()
-    assert (half.n, half.dt) == (13, dt / 2)
-    np.testing.assert_array_equal(half.u[::2], u)
+    half = _half_grid(u, 0, 13)
+    assert half.shape == (13, 4, 4)
+    np.testing.assert_array_equal(half[::2], u)
     mid = np.array([expm(-1j * h * (i + 0.5) * dt) for i in range(6)])
-    np.testing.assert_allclose(half.u[1::2], mid, atol=1e-13)
+    np.testing.assert_allclose(half[1::2], mid, atol=1e-13)
+    # a block is its slice of the whole half grid, bit for bit, cut at the end
+    for start, count in [(0, 1), (2, 4), (4, 5), (10, 8), (12, 3)]:
+        np.testing.assert_array_equal(_half_grid(u, start, count), half[start : start + count])
 
 
 class TestEigenframe:
