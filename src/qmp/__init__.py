@@ -12,7 +12,6 @@ from .qcore import (
     SIGMA,
     Trajectory,
     cholesky_psd,
-    finite_diff,
     partial_trace,
     rk4_integrate,
     spectrum,

@@ -18,13 +18,15 @@ time, so the whole text is never held in memory. They are read in any
 JSON layout: a samples array of [re, im] float pairs is read flat,
 anything else through json, with the same exit code and message.
 Exit codes: 0 success, 2 validation failure (an invalid state, a
-non-finite sample to be written, or a file that is not a dim-4 joint
-trajectory given to single-file check, reconstruct or measures;
-nothing is written then), 3 no CP-valid candidate, or a round trip
-that reaches a non-finite state, named with its time, or a non-finite
-deviation from the samples, named with its candidates (the CP-valid
-candidates integrate as one stack, so one that diverges ends the round
-trip of all of them; report.json is not written), 4 parse error:
+non-finite sample to be written, a file that is not a dim-4 joint
+trajectory given to single-file check, reconstruct or measures, or a
+marginal pair given to check whose files are not both 2x2 trajectories
+or whose grids differ; nothing is written then), 3 no CP-valid
+candidate, or a round trip that reaches a non-finite state, named with
+its time, or a non-finite deviation from the samples, named with its
+candidates (the CP-valid candidates integrate as one stack, so one
+that diverges ends the round trip of all of them; report.json is not
+written), 4 parse error:
 unreadable JSON (undecodable bytes, invalid or too deeply nested JSON)
 or any schema violation (a missing or mistyped field, a sample of the
 wrong shape, a non-finite number, n < 3, dt <= 0), reported with the
@@ -39,7 +41,8 @@ closes standard output early does not change the exit code.
 The env var QMP_TOL overrides the default tolerance 1e-10 used by the
 checks, and check's --tol overrides both. The tolerance sets the
 unitarity verdict of a joint file (the drift of Tr rho^k for k = 2..4)
-and the "isospectral" verdict of a marginal pair.
+and the "isospectral" verdict of a marginal pair. reconstruct reads
+neither: it calls a trajectory unitary up to a drift of 1e-8.
 
 reconstruct master reports a list of candidate generators. A unitary
 trajectory has one, "unitary", the K = 0 candidate; otherwise they come
@@ -70,6 +73,7 @@ EXIT_NO_CP = 3
 EXIT_PARSE = 4
 
 STATE_TOL = 1e-8  # how far a loaded sample may be from a density matrix
+_UNITARY_TOL = 1e-8  # trace-power drift up to which reconstruct calls a file unitary
 
 
 class CliError(Exception):
@@ -497,9 +501,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct_unitary(args) -> int:
-    tol = default_tol()
     traj = _joint_trajectory(args.file, "reconstruct")
-    rep = kinematics.unitarity_test(traj, max(tol, 1e-8))
+    rep = kinematics.unitarity_test(traj, _UNITARY_TOL)
     if not rep.passed:
         raise CliError(
             f"trajectory is not unitary (trace-power drift {rep.drift})", EXIT_INVALID
@@ -524,7 +527,6 @@ def cmd_reconstruct_unitary(args) -> int:
 
 
 def cmd_reconstruct_master(args) -> int:
-    tol = default_tol()
     traj = _joint_trajectory(args.file, "reconstruct")
     frame = ur.eigenframe_decompose(traj)
     ham = ur.hamiltonian_from_evolution(frame.useq)
@@ -533,7 +535,7 @@ def cmd_reconstruct_master(args) -> int:
     write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
     del ham  # H(t) is not held through the fit and the round trip
 
-    unit = kinematics.unitarity_test(traj, max(tol, 1e-8))
+    unit = kinematics.unitarity_test(traj, _UNITARY_TOL)
     doc = {
         "unitary": unit.passed,
         "trace_power_drift": {str(k): v for k, v in unit.drift.items()},

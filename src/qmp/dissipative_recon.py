@@ -43,7 +43,6 @@ from .qcore import (
     _require_hermitian,
     _rk4_steps,
     diff_series,
-    finite_diff,
     partial_trace,
     spectrum,
 )
@@ -151,7 +150,7 @@ def generator_residual(traj: Trajectory, hseq: Trajectory) -> Trajectory:
     """
     if traj.n != hseq.n or abs(traj.dt - hseq.dt) > 1e-12 or abs(traj.t0 - hseq.t0) > 1e-12:
         raise ValueError("trajectory grids differ")
-    rdot = finite_diff(traj).samples
+    rdot = diff_series(traj.samples, traj.dt)
     comm = np.einsum("nij,njk->nik", hseq.samples, traj.samples)
     comm = comm - np.einsum("nij,njk->nik", traj.samples, hseq.samples)
     return Trajectory(traj.t0, traj.dt, rdot + 1j * comm)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import Trajectory, _trace_powers, dag, partial_trace, spectrum
+from .qcore import SIGMA, Trajectory, _require_hermitian, _trace_powers, partial_trace, spectrum
 
 __all__ = [
     "MarginalPair",
@@ -97,31 +97,27 @@ def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport
     return IsospectralReport(dist < tol, dist, tol)
 
 
-# largest off-diagonal entry of a marginal in its fixed eigenbasis
-_BASIS_TOL = 1e-8
+# |r| below which a marginal has no Bloch axis to follow
+_AXIS_FLOOR = 1e-12
 
 
-def _fixed_eigenbasis_branches(traj: Trajectory):
-    """Eigenvalue branches of a trajectory diagonal in one fixed basis.
-
-    Finds the eigenbasis at the sample with the largest gap, orders its
-    columns by descending eigenvalue there, and reads the labeled
-    branches off the diagonal at every time. Branch labels follow the
-    fixed eigenvectors, not magnitude sorting, so crossings stay smooth.
+def _bloch_branches(traj: Trajectory):
+    """Labeled branches (r0 + alpha)/2, (r0 - alpha)/2 of a qubit trajectory
+    with Bloch vector r_k = Tr(rho sigma_k) and alpha = +-|r|, labeled as
+    unitary_window states. A sample with |r| <= _AXIS_FLOOR has no axis
+    and takes the sign of the last one above (the first, if none is).
     """
-    w = spectrum(traj.samples)
-    ref = int(np.argmax(w[:, -1] - w[:, 0]))
-    _, v = spectrum(traj.samples[ref], vectors=True)
-    v = v[:, ::-1]  # descending eigenvalue at the reference time
-    m = dag(v) @ traj.samples @ v
-    off = np.abs(m[:, 0, 1])
-    bad = np.flatnonzero(off > _BASIS_TOL)
-    if bad.size:
-        raise ValueError(
-            "marginal is not diagonal in a fixed basis "
-            f"(off-diagonal {off[bad[0]]:g} at sample {bad[0]}); rotate first"
-        )
-    return m.diagonal(axis1=1, axis2=2).real
+    _require_hermitian(traj.samples, "unitary_window")
+    r = np.einsum("nij,kji->nk", traj.samples, SIGMA).real
+    length = np.linalg.norm(r[:, 1:], axis=1)
+    axes = np.flatnonzero(length > _AXIS_FLOOR)
+    u = r[axes, 1:] / length[axes, None]
+    reversals = np.cumsum(np.einsum("ik,ik->i", u[1:], u[:-1]) < 0)
+    last = np.maximum(np.searchsorted(axes, np.arange(traj.n), side="right") - 1, 0)
+    parity = np.concatenate(([0], reversals))[last] % 2
+    ref = np.argmax(length > length.max() - _AXIS_FLOOR)
+    alpha = np.where(parity == parity[ref], length, -length)
+    return 0.5 * np.stack([r[:, 0] + alpha, r[:, 0] - alpha], axis=1)
 
 
 def _refined_extremum(f: np.ndarray) -> float:
@@ -141,15 +137,22 @@ def _refined_extremum(f: np.ndarray) -> float:
 def unitary_window(pair: MarginalPair) -> WindowReport:
     """Admissible interval for c = rho11 + rho44 of the two-coherence ansatz.
 
-    With labeled eigenvalue branches alpha_i, beta_i of the marginals,
-    the populations of a compatible joint state stay non-negative iff
+    The ansatz is taken in each marginal's own eigenframe, fixed or
+    moving, so a local frame F_A(t) (x) F_B(t) leaves the window as it
+    is. With labeled eigenvalue branches a_i, b_i of the marginals, the
+    populations of a compatible joint state stay non-negative iff
 
         max_t |a1 b1 - a2 b2|  <=  c  <=  min_t [1 - |a1 b2 - a2 b1|].
 
+    Labels follow each marginal's Bloch axis: they swap only where the
+    axis reverses between consecutive samples with Bloch length above
+    1e-12, so a crossing keeps them on their smooth branches. a1 is the
+    larger branch at the first sample whose gap is within 1e-12 of the
+    largest, so rounding cannot pick between tied peaks (b1 likewise).
     Extrema are evaluated on the grid with local quadratic refinement.
     """
-    a = _fixed_eigenbasis_branches(pair.rho_a)
-    b = _fixed_eigenbasis_branches(pair.rho_b)
+    a = _bloch_branches(pair.rho_a)
+    b = _bloch_branches(pair.rho_b)
     g1 = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
     g2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return WindowReport(_refined_extremum(g1), 1.0 - _refined_extremum(g2))

@@ -28,7 +28,6 @@ __all__ = [
     "cholesky_psd",
     "trace_power",
     "spectrum",
-    "finite_diff",
     "diff_series",
     "hermiticity_defect",
     "rk4_integrate",
@@ -276,11 +275,6 @@ def _gauged_eigh(h: np.ndarray):
     ph = np.take_along_axis(v, lead, axis=-2)
     # hypot, not np.abs: it rounds |ph| as the scalar abs() does
     return w, v * (ph.conj() / np.hypot(ph.real, ph.imag))
-
-
-def finite_diff(traj: Trajectory) -> Trajectory:
-    """Second-order time derivative of a trajectory (see diff_series)."""
-    return Trajectory(traj.t0, traj.dt, diff_series(traj.samples, traj.dt))
 
 
 def diff_series(values: np.ndarray, dt: float) -> np.ndarray:

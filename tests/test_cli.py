@@ -417,6 +417,26 @@ class TestCheckCommand:
         assert doc["window"]["c_lo"] == pytest.approx(0.7071068, abs=1e-6)
         assert doc["window"]["c_hi"] == pytest.approx(0.2928932, abs=1e-6)
 
+    def test_marginal_pair_in_a_moving_frame(self, tmp_path):
+        # marginal A turned by exp(-i 0.35 t sigma_1) gets the window of the static pair
+        out = tmp_path / "ex1"
+        run("scenario", "example1", "--J", 1, "--t-max", 20, "--steps", 2000, "--out", out)
+        a = load_trajectory(str(out / "marginal_a.json"))
+        th = 0.35 * a.times[:, None, None]
+        f = np.cos(th) * np.eye(2) - 1j * np.sin(th) * np.array([[0, 1], [1, 0]])
+        turned = Trajectory(a.t0, a.dt, f @ a.samples @ np.conj(f.transpose(0, 2, 1)))
+        write_trajectory(str(tmp_path / "turned.json"), turned)
+        windows = {}
+        for label, a_file in (("static", out / "marginal_a.json"), ("moving", tmp_path / "turned.json")):
+            report = tmp_path / f"{label}.json"
+            assert run("check", a_file, out / "marginal_b.json", "--out", report) == EXIT_OK
+            windows[label] = json.loads(report.read_text())["window"]
+        assert windows["static"]["exists"] and windows["moving"]["exists"]
+        assert windows["static"]["c_lo"] == pytest.approx(0.125, abs=1e-9)
+        assert windows["static"]["c_hi"] == pytest.approx(1.0, abs=1e-9)
+        for key in ("c_lo", "c_hi"):
+            assert abs(windows["moving"][key] - windows["static"][key]) < 1e-12
+
     def test_marginal_pair_tol_sets_isospectral_verdict(self, tmp_path):
         out = tmp_path / "ex2"
         run("scenario", "example2", "--omega", 1, "--t-max", 3.141592653589793, "--steps", 200, "--out", out)
@@ -762,28 +782,33 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, option, env",
-    [
-        ("check", ["--tol", "nan"], None),
-        ("check", ["--tol", "-1"], None),
-        ("check", [], "nan"),
-        ("check", [], "-1"),
-        ("unitary", [], "nan"),
-    ],
-    ids=["tol-nan", "tol-negative", "env-nan", "env-negative", "reconstruct-env-nan"],
+    "option, env",
+    [(["--tol", "nan"], None), (["--tol", "-1"], None), ([], "nan"), ([], "-1")],
+    ids=["tol-nan", "tol-negative", "env-nan", "env-negative"],
 )
-def test_bad_tolerance_exits_4(tmp_path, capsys, monkeypatch, command, option, env):
+def test_bad_tolerance_exits_4(tmp_path, capsys, monkeypatch, option, env):
     out = tmp_path / "ex1"
     run("scenario", "example1", "--t-max", 3.1, "--steps", 20, "--out", out)
     if env is not None:
         monkeypatch.setenv("QMP_TOL", env)
-    if command == "check":
-        argv = ["check", out / "joint.json", *option, "--out", tmp_path / "r.json"]
-    else:
-        argv = ["reconstruct", "unitary", out / "joint.json", "--out", tmp_path / "rec"]
-    assert run(*argv) == EXIT_PARSE
+    assert run("check", out / "joint.json", *option, "--out", tmp_path / "r.json") == EXIT_PARSE
     assert ("QMP_TOL" if env is not None else "--tol") in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "rec").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_qmp_tol_does_not_reach_reconstruct(tmp_path, monkeypatch):
+    # QMP_TOL sets check's tolerance only; reconstruct gates unitarity at 1e-8
+    out = tmp_path / "ex3"
+    run("scenario", "example3", "--t-max", 2, "--steps", 400, "--out", out)
+    reports = []
+    for env in (None, "1"):
+        if env is not None:
+            monkeypatch.setenv("QMP_TOL", env)
+        rec = tmp_path / f"rec-{env}"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
+        reports.append((rec / "report.json").read_bytes())
+        assert run("reconstruct", "unitary", out / "joint.json", "--out", tmp_path / "u") == EXIT_INVALID
+    assert reports[0] == reports[1]
 
 
 def test_cli_import_loads_no_scipy():

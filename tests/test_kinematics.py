@@ -82,8 +82,8 @@ class TestWindow:
         assert w.c_lo == pytest.approx(1 / 8, abs=1e-6)
         assert w.c_hi == pytest.approx(1.0, abs=1e-9)
 
-    def test_rotating_marginal_rejected(self):
-        # a marginal with a moving eigenbasis cannot be branch-labeled
+    def test_rotating_marginal_has_static_window(self):
+        # the eigenbasis turns at unit rate; the spectrum stays (0.75, 0.25)
         ts = 0.05 * np.arange(60)
         samples = np.array(
             [
@@ -95,8 +95,82 @@ class TestWindow:
         )
         moving = Trajectory(0.0, 0.05, samples)
         static = Trajectory(0.0, 0.05, np.array([np.diag([0.75, 0.25])] * 60, dtype=complex))
-        with pytest.raises(ValueError, match="fixed basis"):
-            unitary_window(MarginalPair(moving, static))
+        w = unitary_window(MarginalPair(moving, static))
+        w0 = unitary_window(MarginalPair(static, static))
+        assert abs(w.c_lo - w0.c_lo) < 1e-12 and abs(w.c_hi - w0.c_hi) < 1e-12
+
+    @pytest.mark.parametrize("turn", [0.0, 0.7], ids=["fixed", "moving"])
+    def test_crossing_on_a_sample_keeps_its_label(self, turn):
+        # alpha = 0.5 - t is exactly 0 at t = 0.5, so |r| = 0 there; past it,
+        # branch 0 is the smaller one. A fixed beta = 0.3 gives the window
+        # [max|alpha + beta|/2, 1 - max|alpha - beta|/2] = [0.4, 0.6625];
+        # a label that stayed on the larger branch would give c_hi = 0.9
+        ts = 0.125 * np.arange(8)
+        a = _moving(_branch_states(0.5 - ts), turn * ts, np.array([1.0, 0.0, 0.0]))
+        b = _branch_states(np.full(8, 0.3))
+        w = unitary_window(MarginalPair(Trajectory(0.0, 0.125, a), Trajectory(0.0, 0.125, b)))
+        assert abs(w.c_lo - 0.4) < 1e-12 and abs(w.c_hi - 0.6625) < 1e-12
+
+    def test_non_hermitian_marginal_rejected(self):
+        pair = scenario_example1(2.0).marginals(0.0, 0.05, 20)
+        skew = pair.rho_a.samples + np.array([[0, 1e-3], [0, 0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            unitary_window(MarginalPair(Trajectory(0.0, 0.05, skew), pair.rho_b))
+
+    def test_tied_peaks_keep_the_first_reference(self):
+        # A's branch gap peaks at +1/8 (t = 0, 2 pi) and -1/8 (t = pi, 3 pi);
+        # in a moving frame rounding must not move the reference to a later peak
+        pair = scenario_example1(1.0).marginals(0.0, 3 * np.pi / 2000, 2001)
+        a = pair.rho_a
+        turned = _moving(a.samples, 0.9 * a.times, np.array([1.0, 0.0, 0.0]))
+        w = unitary_window(MarginalPair(Trajectory(a.t0, a.dt, turned), pair.rho_b))
+        assert abs(w.c_lo - 0.125) < 1e-12 and abs(w.c_hi - 1.0) < 1e-12
+
+
+def _branch_states(alpha):
+    """diag((1 + alpha)/2, (1 - alpha)/2) at every time."""
+    rho = np.zeros((len(alpha), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = (1 + alpha) / 2, (1 - alpha) / 2
+    return rho
+
+
+def _moving(rho, theta, axis):
+    """F rho F^dag with F(t) = exp(-i theta(t) axis.sigma)."""
+    n_sigma = np.einsum("k,kij->ij", axis, SIGMA[1:])
+    f = np.cos(theta)[:, None, None] * np.eye(2) - 1j * np.sin(theta)[:, None, None] * n_sigma
+    return f @ rho @ np.conj(np.swapaxes(f, 1, 2))
+
+
+smooth_branches = st.tuples(
+    st.floats(-0.4, 0.4), st.floats(0.0, 0.6), st.floats(0.0, 12.0), st.floats(0.0, 2 * np.pi)
+)
+smooth_frames = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(-1.0, 1.0),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(30, 300),
+    branches=st.tuples(smooth_branches, smooth_branches),
+    frames=st.tuples(smooth_frames, smooth_frames),
+)
+def test_window_is_independent_of_the_local_frames(n, branches, frames):
+    # each marginal is diag((1 + alpha)/2, (1 - alpha)/2) with
+    # alpha = a0 + a1 cos(w t + phi), crossings included, turned by
+    # F(t) = exp(-i theta(t) n.sigma) with theta = th1 t + th2 t^2
+    ts = np.linspace(0.0, 1.0, n)
+    static, moving = [], []
+    for (a0, a1, w, phi), (th1, th2, axis) in zip(branches, frames):
+        alpha = a0 + a1 * np.cos(w * ts + phi)
+        static.append(Trajectory(0.0, ts[1], _branch_states(alpha)))
+        rho = _moving(_branch_states(alpha), th1 * ts + th2 * ts**2, np.array(axis) / np.linalg.norm(axis))
+        moving.append(Trajectory(0.0, ts[1], rho))
+    w0 = unitary_window(MarginalPair(*static))
+    w = unitary_window(MarginalPair(*moving))
+    assert abs(w.c_lo - w0.c_lo) < 1e-12 and abs(w.c_hi - w0.c_hi) < 1e-12
 
 
 class TestScenarios:

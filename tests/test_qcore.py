@@ -13,7 +13,6 @@ from qmp.qcore import (
     cholesky_psd,
     dag,
     diff_series,
-    finite_diff,
     hermiticity_defect,
     partial_trace,
     rk4_integrate,
@@ -122,9 +121,9 @@ class TestDifferentiation:
         dt = 1e-3
         ts = dt * np.arange(101)
         samples = np.array([[[np.exp(2 * t), 0], [0, np.cos(t)]] for t in ts])
-        d = finite_diff(Trajectory(0.0, dt, samples))
+        d = diff_series(samples, dt)
         expected = np.array([[[2 * np.exp(2 * t), 0], [0, -np.sin(t)]] for t in ts])
-        np.testing.assert_allclose(d.samples, expected, atol=5e-6)
+        np.testing.assert_allclose(d, expected, atol=5e-6)
 
     def test_diff_series_quadratic_is_exact(self):
         dt = 0.1
