@@ -15,8 +15,10 @@ samples, where samples[i] lists the dim^2 entries of the matrix at time
 t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
 written as compact JSON (no whitespace), streamed CHUNK samples at a
 time, so the whole text is never held in memory. They are read in any
-JSON layout: a samples array of [re, im] float pairs is read flat,
-anything else through json, with the same exit code and message.
+JSON layout: when samples is the last key and an array of [re, im]
+float pairs, it is read flat; any other layout goes through json, with
+the same values, exit code and message. reconstruct master takes any
+t0, and a marginal pair's grids are compared relative to dt.
 Exit codes: 0 success, 2 validation failure (an invalid state, a
 non-finite sample to be written, a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures, or a
@@ -233,9 +235,8 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
     _atomic_write(path, chain([head[:-1], ',"samples":['], _formatted_rows(pairs, row, ","), ["]}"]))
 
 
-_DECODER = json.JSONDecoder()
 _JSON_SPACE = b" \t\n\r"  # the bytes of json.decoder.WHITESPACE
-_SKIP_SPACE = re.compile(b"[" + _JSON_SPACE + b"]*").match
+_SAMPLES_KEY = re.compile(b'"samples"[' + _JSON_SPACE + b"]*:[" + _JSON_SPACE + b"]*")
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _OPEN, _CLOSE, _COMMA = b"[],"  # their byte values
 _IS_MARK = np.zeros(256, dtype=bool)
@@ -324,68 +325,36 @@ def _flat_samples(data: bytes, start: int):
     return out, edges[-1] + 1
 
 
-def _decoded(data: bytes, i: int, scan):
-    """(value, i + end) of scan(text) -> (value, end) on the text of data
-    from i: first on a _WINDOW of it, kept if the value ends three
-    characters before the window's end (a number such as 1.5 may go on
-    as 1.5e+7), else on the whole rest of it."""
-    text = data[i:i + _WINDOW].decode("ascii")
-    if i + _WINDOW < len(data):
-        try:
-            value, end = scan(text)
-            if end + 3 <= len(text):
-                return value, i + end
-        except ValueError:
-            pass
-        text = data[i:].decode("ascii")
-    value, end = scan(text)
-    return value, i + end
-
-
-def _decode_object(data: bytes) -> dict:
-    """The top-level JSON object of the ASCII bytes ``data``, key by key,
-    with a "samples" value read flat where _flat_samples can. Each other
-    key and value is decoded from a window of the bytes, so no decoded
-    copy of the whole file is made. Raises ValueError where the data is
-    not a JSON object."""
-
-    def skip(i):  # past JSON whitespace
-        return _SKIP_SPACE(data, i).end()
-
-    def expect(i, char):  # past char
-        if not data.startswith(char, i):
-            raise ValueError(f"expected {char!r} at {i}")
-        return i + 1
-
-    doc = {}
-    i = skip(expect(skip(0), b"{"))
-    more = not data.startswith(b"}", i)
-    while more:
-        expect(i, b'"')
-        key, i = _decoded(data, i, lambda text: json.decoder.scanstring(text, 1))
-        i = skip(expect(skip(i), b":"))
-        flat = _flat_samples(data, i) if key == "samples" else None
-        doc[key], i = flat or _decoded(data, i, _DECODER.raw_decode)
-        i = skip(i)
-        more = data.startswith(b",", i)
-        if more:
-            i = skip(i + 1)
-    if skip(expect(i, b"}")) != len(data):
-        raise ValueError("extra data")
+def _flat_document(data: bytes):
+    """The JSON document of the ASCII bytes ``data`` with its "samples"
+    array read flat, or None. Taken only when the first "samples" key is
+    followed by an array that _flat_samples reads, then by whitespace
+    and the closing }, and json.loads of the bytes before the key, with
+    "samples":null} put after them, gives an object whose last key is
+    "samples": then the key the regex found is the document's last key,
+    not text inside another key or a string."""
+    key = _SAMPLES_KEY.search(data)
+    flat = key and _flat_samples(data, key.end())
+    if not flat or data[flat[1]:].strip(_JSON_SPACE) != b"}":
+        return None
+    doc = json.loads(data[:key.start()] + b'"samples":null}')
+    if list(doc)[-1:] != ["samples"]:
+        return None
+    doc["samples"] = flat[0]
     return doc
 
 
 def _read_document(path: str) -> dict:
-    """The JSON document of a file. ASCII bytes go to the object walk;
-    what it does not take, and any other file, goes to json.loads as the
-    text that open() reads, so a malformed file exits 4 with json's own
-    message."""
+    """The JSON document of a file. ASCII bytes whose samples are the
+    last key are read through _flat_document; any other file goes to
+    json.loads as the text that open() reads, so a malformed file exits
+    4 with json's own message."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            if data.isascii():
-                return _decode_object(data)
+            if data.isascii() and (doc := _flat_document(data)):
+                return doc
         except (ValueError, RecursionError):
             pass
         text = io.TextIOWrapper(io.BytesIO(data)).read()

@@ -40,6 +40,7 @@ from .bloch import pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
+    _grids_differ,
     _require_hermitian,
     _rk4_steps,
     diff_series,
@@ -148,7 +149,7 @@ def generator_residual(traj: Trajectory, hseq: Trajectory) -> Trajectory:
     Vanishes for closed dynamics; otherwise it is the dissipative action
     on the state (traceless and Hermitian up to stencil error).
     """
-    if traj.n != hseq.n or abs(traj.dt - hseq.dt) > 1e-12 or abs(traj.t0 - hseq.t0) > 1e-12:
+    if _grids_differ(traj, hseq):
         raise ValueError("trajectory grids differ")
     rdot = diff_series(traj.samples, traj.dt)
     comm = np.einsum("nij,njk->nik", hseq.samples, traj.samples)
@@ -377,19 +378,6 @@ def candidate_diagonals(fit: DiagonalFit):
 # _BLOCK // 2 steps, and the round trip's memory is set by these two
 # blocks, not by n. Even, so that a block of the half grid starts on a sample.
 _BLOCK = 64
-# how far (in time) an RK4 stage may sit from a time of the unitary grid
-_GRID_TOL = 1e-9
-
-
-def _grid_index(useq: EvolutionSequence, t: float, half: bool = False) -> int:
-    """Index of time t on the sequence grid, or with ``half`` on the grid
-    of half its spacing (2n - 1 times, see _half_grid); off-grid times raise."""
-    dt, n = (0.5 * useq.dt, 2 * useq.n - 1) if half else (useq.dt, useq.n)
-    idx = (t - useq.t0) / dt
-    i = int(round(idx))
-    if abs(idx - i) > _GRID_TOL / dt or not 0 <= i < n:
-        raise ValueError(f"time {t:g} is not on the unitary grid")
-    return i
 
 
 def _lab_frame(lk: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -426,7 +414,9 @@ def roundtrip_verify(
     U on a sample: on an even count the steps are 2 dt and the midpoints
     are odd samples of ``useq`` (two intervals are one step); on an odd
     count the steps are dt and each block's U, midpoints included, comes
-    from its slice of ``useq.u`` through _half_grid. Deviations are the
+    from its slice of ``useq.u`` through _half_grid. Either way stage s
+    of step i reads U at grid index 2 i + s, not from its time, so any
+    t0 works. Deviations are the
     max Frobenius distance of the joint state and the max absolute entry
     deviation of each marginal, over the integrated grid. The states are
     compared with the samples _BLOCK // 2 steps at a time and only the
@@ -443,9 +433,9 @@ def roundtrip_verify(
     lk = np.stack([k.liouvillian for k in ks])
     start, block = -_BLOCK, None
 
-    def rhs(t, rho):
+    def rhs(step, stage, rho):
         nonlocal start, block
-        i = _grid_index(useq, t, half)
+        i = 2 * step + stage  # the stage's index on the grid of U
         if not start <= i < start + _BLOCK:
             start = i - i % _BLOCK
             u = _half_grid(useq.u, start, _BLOCK) if half else useq.u[start : start + _BLOCK]

@@ -14,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import SIGMA, Trajectory, _require_hermitian, _trace_powers, partial_trace, spectrum
+from .qcore import (
+    SIGMA, Trajectory, _grids_differ, _require_hermitian, _trace_powers, partial_trace, spectrum
+)
 
 __all__ = [
     "MarginalPair",
@@ -41,7 +43,7 @@ class MarginalPair:
         a, b = self.rho_a, self.rho_b
         if a.dim != 2 or b.dim != 2:
             raise ValueError("marginals must be 2x2 trajectories")
-        if a.n != b.n or abs(a.t0 - b.t0) > 1e-12 or abs(a.dt - b.dt) > 1e-12:
+        if _grids_differ(a, b):
             raise ValueError("marginal grids differ")
 
 

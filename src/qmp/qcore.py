@@ -158,6 +158,13 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.n)
 
 
+def _grids_differ(a: Trajectory, b: Trajectory) -> bool:
+    """Whether a and b have different sample counts, or t0 or dt apart
+    by more than 1e-12 of the larger dt, so in any time unit."""
+    tol = 1e-12 * max(a.dt, b.dt)
+    return a.n != b.n or abs(a.t0 - b.t0) > tol or abs(a.dt - b.dt) > tol
+
+
 def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     """Trace a 4x4 operator, or each of a (..., 4, 4) stack, over one factor.
 
@@ -319,18 +326,19 @@ class IntegrationResult:
 
 def _rk4_steps(generator, rho, t0: float, dt: float, n_steps: int):
     """Yield the n_steps classic RK4 states after ``rho`` (not ``rho``
-    itself), one step at a time; a step with a non-finite entry raises
+    itself), one step at a time. The generator is called as
+    generator(i, stage, rho) for step i, with stage 0 at its start, 1 at
+    its midpoint and 2 at its end; a step with a non-finite entry raises
     RuntimeError naming its time."""
     half = 0.5 * dt
     for i in range(n_steps):
-        t = t0 + i * dt
-        k1 = generator(t, rho)
-        k2 = generator(t + half, rho + half * k1)
-        k3 = generator(t + half, rho + half * k2)
-        k4 = generator(t + dt, rho + dt * k3)
+        k1 = generator(i, 0, rho)
+        k2 = generator(i, 1, rho + half * k1)
+        k3 = generator(i, 1, rho + half * k2)
+        k4 = generator(i, 2, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.isfinite(rho).all():
-            raise RuntimeError(f"integration produced non-finite values at t={t + dt:g}")
+            raise RuntimeError(f"integration produced non-finite values at t={t0 + i * dt + dt:g}")
         yield rho
 
 
@@ -348,9 +356,14 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         raise ValueError(f"rho0 must be one matrix or a (c, d, d) stack, got shape {rho.shape}")
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
+    offsets = (0.0, 0.5 * dt, dt)  # of the stages from the step's start
+
+    def at_time(i, stage, rho):
+        return generator(t0 + i * dt + offsets[stage], rho)
+
     out = np.empty((n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
-    for i, state in enumerate(_rk4_steps(generator, rho, t0, dt, n_steps), 1):
+    for i, state in enumerate(_rk4_steps(at_time, rho, t0, dt, n_steps), 1):
         out[i] = state
     trace = np.trace(out, axis1=-2, axis2=-1)
     return IntegrationResult(t0, dt, out, np.abs(trace - trace[0]))

@@ -265,27 +265,22 @@ _WIDER = json.dumps(_DOC["samples"] + _DOC["samples"][:1])
 @example(text=json.dumps(_DOC) + " x")
 @example(text=json.dumps(_DOC, indent=1).replace("\n", "\r\n"))
 @example(text=json.dumps(_DOC, ensure_ascii=False).replace('"params": {}', '"params": {"\u00e9": 1}'))
+# samples not last, or a "samples" that is not the key: each goes to json
+@example(text=json.dumps({"samples": _DOC["samples"], **{k: v for k, v in _DOC.items() if k != "samples"}}))
+@example(text=json.dumps(_DOC).replace('"samples"', '"x\\"samples"', 1))
+@example(text=json.dumps(_DOC).replace('"samples": ', '"\\u0073amples": null, "x\\"samples": ', 1))
+@example(text=json.dumps({**_DOC, "params": {"note": '"samples": ['}}))
 def test_reader_matches_nested_oracle(tmp_path, monkeypatch, text):
     # two-sample chunks, so that a 3-sample document spans two of them
     monkeypatch.setattr(cli, "CHUNK", 2)
     path = tmp_path / "t.json"
     path.write_bytes(text.encode())
     oracle = _outcome(load_trajectory_nested, path)
-    try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError):
-        doc = None
     # scan windows of a few bytes put the window edges inside the marks
-    # of each sample, inside keys and values, and at the chunk edges
+    # of each sample and at the chunk edges
     for window in (1, 5, 64, 1 << 16):
         monkeypatch.setattr(cli, "_WINDOW", window)
         assert _outcome(load_trajectory, path) == oracle
-        # the object walk itself takes every ASCII JSON object, with no fallback
-        if isinstance(doc, dict) and text.isascii():
-            walked = cli._decode_object(path.read_bytes())
-            if isinstance(walked.get("samples"), np.ndarray):
-                walked["samples"] = walked["samples"].tolist()
-            assert json.dumps(walked) == json.dumps(doc)
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
@@ -312,12 +307,14 @@ def test_unbalanced_samples_exit_4(tmp_path, capsys, cut):
 
 
 def test_multi_chunk_file_reads_flat(tmp_path):
-    # 2.5 chunks of samples in each layout: the object walk reads the
-    # samples flat and ends where json.loads ends
+    # 2.5 chunks of samples in each layout: the samples, the last key, are
+    # read flat, and the other fields are those json.loads gives
     traj = scenario_example1(2.0).joint(0.0, 1e-3, 5 * CHUNK // 2)
+    path = tmp_path / "t.json"
     for layout in _LAYOUTS.values():
         text = json.dumps(trajectory_to_dict(traj, {"J": 2.0}), **layout)
-        doc = cli._decode_object(text.encode())
+        path.write_text(text)
+        doc = cli._read_document(str(path))
         samples = doc.pop("samples")
         assert isinstance(samples, np.ndarray)
         assert samples.tobytes() == np.ascontiguousarray(traj.samples).view(float).tobytes()
@@ -546,6 +543,21 @@ class TestReconstructCommands:
         assert valid
         for c in valid:
             assert c["roundtrip_deviation"] < 1e-4, c["label"]
+
+    @pytest.mark.parametrize("steps", [400, 401])
+    def test_master_report_does_not_depend_on_t0(self, tmp_path, steps):
+        # a Unix timestamp as t0: the round trip reads U(t) by grid index,
+        # so the report is the one of the same samples at t0 = 0
+        out = tmp_path / "ex3"
+        run("scenario", "example3", "--t-max", 2, "--steps", steps, "--out", out)
+        traj = load_trajectory(str(out / "joint.json"))
+        write_trajectory(str(tmp_path / "late.json"), Trajectory(1.7e9, traj.dt, traj.samples))
+        reports = []
+        for name in ("ex3/joint.json", "late.json"):
+            rec = tmp_path / f"rec-{len(reports)}"
+            assert run("reconstruct", "master", tmp_path / name, "--out", rec) == EXIT_OK
+            reports.append((rec / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("mode", ["unitary", "master"])
     def test_rejects_marginal_file_before_writing(self, tmp_path, capsys, mode):

@@ -21,7 +21,6 @@ from qmp.dissipative_recon import (
     _BLOCK,
     _DIAGONAL_COHERENCE,
     _cumulative_trapezoid,
-    _grid_index,
     _lab_frame,
     _nnls,
     AffineGenerator,
@@ -383,22 +382,6 @@ class TestRotateAndRoundtrip:
         assert lab.shape == (5, 1, 16, 16)
         np.testing.assert_allclose(lab[:, 0], np.broadcast_to(lk, (5, 16, 16)), atol=1e-13)
 
-    def test_off_grid_time_rejected(self):
-        u = np.array([np.eye(4, dtype=complex)] * 5)
-        seq = EvolutionSequence(0.0, 0.1, u)
-        assert _grid_index(seq, 0.2) == 2
-        with pytest.raises(ValueError, match="grid"):
-            _grid_index(seq, 0.25)
-        with pytest.raises(ValueError, match="grid"):
-            _grid_index(seq, 0.5)
-        # the grid of half the spacing has 2n - 1 times
-        assert _grid_index(seq, 0.25, half=True) == 5
-        assert _grid_index(seq, 0.4, half=True) == 8
-        with pytest.raises(ValueError, match="grid"):
-            _grid_index(seq, 0.225, half=True)
-        with pytest.raises(ValueError, match="grid"):
-            _grid_index(seq, 0.45, half=True)
-
     def test_rotated_dissipator_matches_residual(self):
         j, dt = 2.0, 5e-4
         traj = scenario_example3(j, GAMMA).joint(0.0, dt, 2001)
@@ -462,11 +445,14 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
     lh = -1j * (np.kron(hs, eye) - np.kron(eye, hs.swapaxes(1, 2)))
     gen = _lab_frame(np.stack([k.liouvillian for k in ks]), useq.u) + lh
 
+    def at(t):  # the index of time t on the grid of useq
+        return int(round(2 * t / dt))
+
     def stacked(t, rho):
-        return (gen[_grid_index(useq, t)] @ rho.reshape(c, 16, 1)).reshape(c, 4, 4)
+        return (gen[at(t)] @ rho.reshape(c, 16, 1)).reshape(c, 4, 4)
 
     def single(j):
-        return lambda t, rho: (gen[_grid_index(useq, t), j] @ rho.reshape(16)).reshape(4, 4)
+        return lambda t, rho: (gen[at(t), j] @ rho.reshape(16)).reshape(4, 4)
 
     res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
     assert res.samples.shape == (n_steps + 1, c, 4, 4)

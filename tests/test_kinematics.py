@@ -209,10 +209,12 @@ class TestScenarios:
             scenario_example3(1.0, -0.1)
 
     def test_grid_mismatch_rejected(self):
-        a = Trajectory(0.0, 0.1, np.array([np.eye(2) / 2] * 5, dtype=complex))
-        b = Trajectory(0.0, 0.2, np.array([np.eye(2) / 2] * 5, dtype=complex))
-        with pytest.raises(ValueError):
-            MarginalPair(a, b)
+        # a step twice as long, in any time unit: femtoseconds too
+        for dt in (0.1, 1e-15):
+            a = Trajectory(0.0, dt, np.array([np.eye(2) / 2] * 5, dtype=complex))
+            b = Trajectory(0.0, 2 * dt, np.array([np.eye(2) / 2] * 5, dtype=complex))
+            with pytest.raises(ValueError, match="grids differ"):
+                MarginalPair(a, b)
 
 
 grids = st.tuples(
