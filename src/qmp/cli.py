@@ -25,7 +25,7 @@ trajectory given to single-file check, reconstruct or measures, or a
 marginal pair given to check whose files are not both 2x2 trajectories
 or whose grids differ; nothing is written then), 3 no CP-valid
 candidate, or a round trip that reaches a non-finite state, named with
-its time, or a non-finite deviation from the samples, named with its
+its RK4 step, or a non-finite deviation from the samples, named with its
 candidates (the CP-valid candidates integrate as one stack, so one
 that diverges ends the round trip of all of them; report.json is not
 written), 4 parse error:

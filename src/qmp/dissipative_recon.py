@@ -47,7 +47,7 @@ from .qcore import (
     partial_trace,
     spectrum,
 )
-from .unitary_recon import EvolutionSequence, _half_grid
+from .unitary_recon import EvolutionSequence
 
 __all__ = [
     "AffineGenerator",
@@ -376,7 +376,7 @@ def candidate_diagonals(fit: DiagonalFit):
 # 1024 and 4096 were slower. Each RK4 step reads two new grid times, so
 # the integrated states are compared with the samples in blocks of
 # _BLOCK // 2 steps, and the round trip's memory is set by these two
-# blocks, not by n. Even, so that a block of the half grid starts on a sample.
+# blocks, not by n.
 _BLOCK = 64
 
 
@@ -409,24 +409,19 @@ def roundtrip_verify(
     lab-frame Liouvillian per grid time, L_j(t) = L_h + S(t) L_Kj S(t)^dag
     (see the module docstring), built for one block of _BLOCK grid times
     at a time. All c run as one (c, 4, 4) stack in one RK4 loop, and each
-    stage is one (c, 16, 16) @ (c, 16, 1) product. The RK4 grid
-    follows the interval count, so that every midpoint evaluation finds
-    U on a sample: on an even count the steps are 2 dt and the midpoints
-    are odd samples of ``useq`` (two intervals are one step); on an odd
-    count the steps are dt and each block's U, midpoints included, comes
-    from its slice of ``useq.u`` through _half_grid. Either way stage s
-    of step i reads U at grid index 2 i + s, not from its time, so any
-    t0 works. Deviations are the
-    max Frobenius distance of the joint state and the max absolute entry
-    deviation of each marginal, over the integrated grid. The states are
-    compared with the samples _BLOCK // 2 steps at a time and only the
-    running maxima are kept, so no array grows with n. The stack stops
-    at the first step with a non-finite entry in any state, which raises
-    RuntimeError naming its time; a deviation of finite states past the
-    float range is returned as inf, with no warning.
+    stage is one (c, 16, 16) @ (c, 16, 1) product. The steps are 2 dt:
+    stage s of step i reads U at sample 2 i + s, not at its time, so any
+    t0 works. An odd interval count ends with one step of dt, sample
+    n - 2 to n - 1, whose midpoint is the polar factor of U_{n-2} + U_{n-1}
+    (their geodesic midpoint while ||log(U_{n-2}^dag U_{n-1})|| < pi).
+    Deviations are the max Frobenius distance of the joint state and the
+    max absolute entry deviation of each marginal, over the states after
+    every step, compared with the samples _BLOCK // 2 steps at a time;
+    only the running maxima are kept, so no array grows with n. The
+    stack stops at the first step with a non-finite entry in any state,
+    which raises RuntimeError naming the step; a deviation of finite
+    states past the float range is returned as inf, with no warning.
     """
-    half = (traj.n - 1) % 2 == 1
-    stride = 1 if half else 2
     h = np.asarray(h, dtype=complex)
     eye = np.eye(4)
     lh = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -435,32 +430,41 @@ def roundtrip_verify(
 
     def rhs(step, stage, rho):
         nonlocal start, block
-        i = 2 * step + stage  # the stage's index on the grid of U
+        i = 2 * step + stage  # the stage's sample
         if not start <= i < start + _BLOCK:
             start = i - i % _BLOCK
-            u = _half_grid(useq.u, start, _BLOCK) if half else useq.u[start : start + _BLOCK]
-            block = _lab_frame(lk, u) + lh
+            block = _lab_frame(lk, useq.u[start : start + _BLOCK]) + lh
         return (block[i - start] @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
 
     rho0 = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
     trace0 = np.trace(rho0, axis1=-2, axis2=-1)
-    ref = traj.samples[::stride]
-    steps = _rk4_steps(rhs, rho0, traj.t0, stride * traj.dt, len(ref) - 1)
-    states = np.empty((_BLOCK // 2,) + rho0.shape, dtype=complex)
     # rows: deviation, marginal A, marginal B, trace drift; sample 0 is rho0
     worst = np.zeros((4, len(ks)))
-    for first in range(1, len(ref), len(states)):
-        want = ref[first : first + len(states)]
-        # _rk4_steps raises on a non-finite state; a deviation past the
-        # float range is returned as inf, for the caller to report
-        with np.errstate(over="ignore", invalid="ignore"):
+
+    def compare(got, want):
+        diff = got - want[:, np.newaxis]
+        np.maximum(worst, [
+            np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
+            np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
+            np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
+            np.max(np.abs(np.trace(got, axis1=-2, axis2=-1) - trace0), axis=0),
+        ], out=worst)
+
+    ref = traj.samples[2::2]  # sample 2 i + 2 after step i
+    steps = _rk4_steps(rhs, rho0, 2 * traj.dt, range(len(ref)))
+    states = np.empty((_BLOCK // 2,) + rho0.shape, dtype=complex)
+    # a deviation past the float range is returned as inf, for the caller to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, len(ref), len(states)):
+            want = ref[first : first + len(states)]
             for j, rho in enumerate(islice(steps, len(want))):
                 states[j] = rho
-            diff = states[: len(want)] - want[:, np.newaxis]
-            np.maximum(worst, [
-                np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
-                np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
-                np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
-                np.max(np.abs(np.trace(states[: len(want)], axis1=-2, axis2=-1) - trace0), axis=0),
-            ], out=worst)
+            compare(states[: len(want)], want)
+        if traj.n % 2 == 0:  # an odd interval count: one last step of dt
+            a, b = useq.u[-2], useq.u[-1]
+            w, _, vh = np.linalg.svd(a + b)
+            # from rho, the last 2 dt step's state; stage s reads rhs's index 2 i + s
+            start, block = 2 * len(ref), _lab_frame(lk, np.stack([a, w @ vh, b])) + lh
+            rho = next(_rk4_steps(rhs, rho, traj.dt, range(len(ref), len(ref) + 1)))
+            compare(rho[np.newaxis], traj.samples[-1:])
     return RoundtripReport(*worst)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .qcore import (
-    SIGMA, Trajectory, _grids_differ, _require_hermitian, _trace_powers, partial_trace, spectrum
+    SIGMA, Trajectory, _grids_differ, _require_hermitian, _trace_powers, partial_trace
 )
 
 __all__ = [
@@ -93,9 +93,19 @@ def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
     return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
 
 
+def _bloch_vectors(traj: Trajectory, name: str) -> np.ndarray:
+    """r_k = Tr(rho sigma_k), k = 0..3, of a Hermitian qubit trajectory: (n, 4)."""
+    _require_hermitian(traj.samples, name)
+    return np.einsum("nij,kji->nk", traj.samples, SIGMA).real
+
+
 def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport:
-    """Max distance between the sorted spectra of the two marginals."""
-    dist = float(np.max(np.abs(spectrum(pair.rho_a.samples) - spectrum(pair.rho_b.samples))))
+    """Max distance between the sorted spectra (r0 -+ |r|)/2 of marginals
+    with Bloch vectors r_a, r_b: max over t of (|r0_a - r0_b| + ||r_a| - |r_b||)/2."""
+    ra, rb = (_bloch_vectors(m, "isospectral_test") for m in (pair.rho_a, pair.rho_b))
+    d0 = np.abs(ra[:, 0] - rb[:, 0])
+    d = np.abs(np.linalg.norm(ra[:, 1:], axis=1) - np.linalg.norm(rb[:, 1:], axis=1))
+    dist = float(np.max(d0 + d)) / 2
     return IsospectralReport(dist < tol, dist, tol)
 
 
@@ -109,8 +119,7 @@ def _bloch_branches(traj: Trajectory):
     unitary_window states. A sample with |r| <= _AXIS_FLOOR has no axis
     and takes the sign of the last one above (the first, if none is).
     """
-    _require_hermitian(traj.samples, "unitary_window")
-    r = np.einsum("nij,kji->nk", traj.samples, SIGMA).real
+    r = _bloch_vectors(traj, "unitary_window")
     length = np.linalg.norm(r[:, 1:], axis=1)
     axes = np.flatnonzero(length > _AXIS_FLOOR)
     u = r[axes, 1:] / length[axes, None]

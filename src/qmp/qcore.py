@@ -324,21 +324,21 @@ class IntegrationResult:
         return _per_matrix(np.max(self.trace_drift, axis=0))
 
 
-def _rk4_steps(generator, rho, t0: float, dt: float, n_steps: int):
-    """Yield the n_steps classic RK4 states after ``rho`` (not ``rho``
-    itself), one step at a time. The generator is called as
-    generator(i, stage, rho) for step i, with stage 0 at its start, 1 at
-    its midpoint and 2 at its end; a step with a non-finite entry raises
-    RuntimeError naming its time."""
+def _rk4_steps(generator, rho, dt: float, steps):
+    """Yield the classic RK4 state after each step index i of ``steps``
+    (not ``rho`` itself), one step at a time. The generator is called as
+    generator(i, stage, rho), with stage 0 at the step's start, 1 at its
+    midpoint and 2 at its end; a step with a non-finite entry raises
+    RuntimeError naming it as step i + 1."""
     half = 0.5 * dt
-    for i in range(n_steps):
+    for i in steps:
         k1 = generator(i, 0, rho)
         k2 = generator(i, 1, rho + half * k1)
         k3 = generator(i, 1, rho + half * k2)
         k4 = generator(i, 2, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.isfinite(rho).all():
-            raise RuntimeError(f"integration produced non-finite values at t={t0 + i * dt + dt:g}")
+            raise RuntimeError(f"integration produced non-finite values in step {i + 1}")
         yield rho
 
 
@@ -348,8 +348,8 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
     ``rho0`` is one (d, d) matrix or a (c, d, d) stack of c states
     integrated together: ``generator`` gets and returns the whole stack,
     once per RK4 stage. Returns the n_steps + 1 samples with the trace
-    drift of every state relative to its initial one; a step with a
-    non-finite entry in any state raises.
+    drift of every state relative to its initial one; step k, to sample
+    k, raises if it gives any state a non-finite entry.
     """
     rho = _as_square(rho0, "rho0")
     if rho.ndim > 3:
@@ -363,7 +363,7 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
 
     out = np.empty((n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
-    for i, state in enumerate(_rk4_steps(at_time, rho, t0, dt, n_steps), 1):
+    for i, state in enumerate(_rk4_steps(at_time, rho, dt, range(n_steps)), 1):
         out[i] = state
     trace = np.trace(out, axis1=-2, axis2=-1)
     return IntegrationResult(t0, dt, out, np.abs(trace - trace[0]))

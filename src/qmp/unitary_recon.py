@@ -62,20 +62,6 @@ class EvolutionSequence:
         return self.u.shape[0]
 
 
-def _half_grid(u: np.ndarray, start: int, count: int) -> np.ndarray:
-    """U at times start, ..., start + count - 1 of the grid of half the
-    spacing of the samples u (start even; cut at the last sample): time
-    2i is u[i] and time 2i + 1 the polar factor of u[i] + u[i + 1], from
-    one batched SVD. While ||log(U_i^dag U_{i+1})|| < pi that is exactly
-    the geodesic midpoint U_i (U_i^dag U_{i+1})^{1/2}."""
-    v = u[start // 2 : (start + count) // 2 + 1]
-    out = np.empty((2 * len(v) - 1,) + v.shape[1:], dtype=complex)
-    out[::2] = v
-    w, _, vh = np.linalg.svd(v[:-1] + v[1:])
-    out[1::2] = w @ vh
-    return out[:count]
-
-
 @dataclass(frozen=True)
 class EigenframeResult:
     """Eigenframe split rho(t) = V(t) diag(branches(t)) V(t)^dag.

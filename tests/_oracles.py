@@ -6,8 +6,8 @@ over the Kossakowski matrix or the Pauli basis, one trace per generator
 instead of one einsum for the coherence vector, eigenvalue tests
 instead of Cholesky pivots, one RK4 loop per state instead of one over
 a stack, a phase fix per eigenvector and an SVD per degenerate block
-instead of one masked polar factor per step, a matrix square root per
-step instead of a batched SVD for the geodesic midpoints of U,
+instead of one masked polar factor per step, a matrix square root
+instead of an SVD for the geodesic midpoint of U,
 np.gradient instead of the package's difference stencil, nested lists
 through json instead of streamed %-templates and a flat read of the
 samples array) so that agreement between the two is meaningful.
@@ -58,14 +58,26 @@ def coherence_vector(rho):
     return np.array([np.trace(rho @ g).real for g in traceless_basis()])
 
 
-def geodesic_half_grid(u):
-    """U on the grid of half the spacing of the (n, d, d) samples u: the
-    samples, and between U_i and U_{i+1} the geodesic midpoint
-    U_i (U_i^dag U_{i+1})^{1/2}, one principal square root per step."""
-    out = [u[0]]
-    for a, b in zip(u[:-1], u[1:]):
-        out += [a @ sqrtm(a.conj().T @ b), b]
-    return np.array(out)
+def stride_rule_states(generator, u, rho0, t0, dt):
+    """States of the master round trip's RK4 rule from rho0, rho0 first,
+    on the (n, d, d) samples u of U taken every dt from t0: steps of
+    2 dt that read U at the samples, then, on an odd interval count, one
+    step of dt from sample n - 2 to n - 1 whose midpoint is the geodesic
+    midpoint U_{n-2} (U_{n-2}^dag U_{n-1})^{1/2}, by one principal square
+    root. generator(v, rho) is the generator at the unitary v."""
+    pairs = (len(u) - 1) // 2
+    states, _ = rk4_per_state(
+        lambda t, rho: generator(u[round((t - t0) / dt)], rho), rho0, t0, 2 * dt, pairs
+    )
+    if len(u) % 2 == 1:
+        return states
+    a, b = u[-2], u[-1]
+    tail = [a, a @ sqrtm(a.conj().T @ b), b]
+    t1 = t0 + 2 * pairs * dt
+    last, _ = rk4_per_state(
+        lambda t, rho: generator(tail[round(2 * (t - t1) / dt)], rho), states[-1], t1, dt, 1
+    )
+    return np.concatenate([states, last[1:]])
 
 
 def dissipator_per_term(km, x):

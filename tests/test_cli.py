@@ -514,7 +514,8 @@ class TestReconstructCommands:
         assert best["roundtrip_deviation"] < 1e-3
 
     def test_master_on_odd_interval_count(self, tmp_path):
-        # 401 intervals: the RK4 midpoints fall between samples
+        # 401 intervals: 200 RK4 steps of 2 dt, then one step of dt whose
+        # midpoint falls between the last two samples
         out = tmp_path / "ex3"
         run("scenario", "example3", "--t-max", 2, "--steps", 401, "--out", out)
         rec = tmp_path / "master"
@@ -597,16 +598,17 @@ class TestReconstructCommands:
         ("example1", ["unitary"]),
     ])
     def test_master_on_three_samples(self, tmp_path, name, labels):
-        # two intervals are a single RK4 step of 2 dt
-        out = tmp_path / name
-        run("scenario", name, "--t-max", 0.01, "--steps", 2, "--out", out)
-        rec = tmp_path / "master"
-        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
-        doc = json.loads((rec / "report.json").read_text())
-        valid = [c for c in doc["candidates"] if c["cp_valid"]]
-        assert [c["label"] for c in valid] == labels
-        for c in valid:
-            assert c["roundtrip_deviation"] < 1e-6, c["label"]
+        # two intervals are a single RK4 step of 2 dt; three add one step of dt
+        for steps in (2, 3):
+            out = tmp_path / f"{name}-{steps}"
+            run("scenario", name, "--t-max", 0.01, "--steps", steps, "--out", out)
+            rec = tmp_path / f"master-{steps}"
+            assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
+            doc = json.loads((rec / "report.json").read_text())
+            valid = [c for c in doc["candidates"] if c["cp_valid"]]
+            assert [c["label"] for c in valid] == labels, steps
+            for c in valid:
+                assert c["roundtrip_deviation"] < 1e-6, (steps, c["label"])
 
     # the states pass 1e154 some blocks before they overflow, and numpy's
     # norm warns that the deviations of those blocks overflow
@@ -614,15 +616,15 @@ class TestReconstructCommands:
     def test_master_round_trip_overflow_exits_3(self, tmp_path, capsys):
         # at gamma dt = 15 the fitted rates make the 2 dt RK4 step unstable,
         # and the states overflow in the 2211th step, so 4422 intervals is
-        # the smallest grid that reaches it (4421 and 4423, which step dt,
-        # stay finite)
+        # the smallest grid that reaches it (4421 and 4423 step 2 dt too:
+        # 4421 stops one step short, and its last step of dt stays finite)
         out = tmp_path / "ex3"
         run("scenario", "example3", "--gamma", 3000, "--t-max", 22.11, "--steps", 4422, "--out", out)
         capsys.readouterr()
         rec = tmp_path / "master"
         assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_NO_CP
         err = capsys.readouterr().err
-        assert err == "error: round trip: integration produced non-finite values at t=22.11\n"
+        assert err == "error: round trip: integration produced non-finite values in step 2211\n"
         assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
 
     def test_master_round_trip_deviation_overflow_exits_3(self, tmp_path, capsys):

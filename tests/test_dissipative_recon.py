@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import expm
 from scipy.optimize import nnls
 
 from qmp.bloch import traceless_basis
@@ -43,10 +44,10 @@ from _oracles import (
     diagonal_rate_misfit,
     dissipator_per_term,
     dissipator_superoperator,
-    geodesic_half_grid,
     random_hermitian,
     random_state,
     rk4_per_state,
+    stride_rule_states,
 )
 
 rng = np.random.default_rng(2718)
@@ -414,9 +415,9 @@ class TestRotateAndRoundtrip:
         rep = roundtrip_verify(traj, h, [k_from_d(-choice2_rates())], frame.useq)
         assert rep.max_deviation[0] > 0.05
 
-    def test_odd_interval_count_uses_half_grid(self):
-        # 401 intervals: the RK4 midpoints fall between samples, so the
-        # round trip steps dt on the half grid of the continuation
+    def test_odd_interval_count_ends_with_a_dt_step(self):
+        # 401 intervals: 200 RK4 steps of 2 dt, then one of dt whose
+        # midpoint falls between the last two samples
         j = 2.0
         traj = scenario_example3(j, GAMMA).joint(0.0, 2.0 / 401, 402)
         g = traceless_basis()
@@ -480,13 +481,11 @@ def _per_term_matrix(km):
     return np.array([dissipator_per_term(km, e).reshape(16) for e in units]).T
 
 
-def _lab_frame_oracle(h, km, u, t0, step):
-    """-i[h, rho] + U Diss_K[U^dag rho U] U^dag in 4x4 products, with U
-    read from u, which is sampled every step / 2 from t0."""
+def _lab_frame_oracle(h, km):
+    """-i[h, rho] + V Diss_K[V^dag rho V] V^dag at a unitary V, in 4x4 products."""
     dmat = _per_term_matrix(km)
 
-    def rhs(t, rho):
-        v = u[int(round(2 * (t - t0) / step))]
+    def rhs(v, rho):
         inner = (dmat @ (v.conj().T @ rho @ v).reshape(16)).reshape(4, 4)
         return -1j * (h @ rho - rho @ h) + v @ inner @ v.conj().T
 
@@ -508,23 +507,19 @@ _STEPS = _BLOCK // 2
     seed=st.integers(0, 2**32 - 1),
 )
 @example(c=4, odd=False, steps=_STEPS, seed=0)  # exactly one comparison block
+@example(c=4, odd=True, steps=_STEPS, seed=4)  # one full block, then the tail step
 @example(c=3, odd=True, steps=_STEPS + 1, seed=1)  # one step more
 @example(c=2, odd=True, steps=_STEPS - 1, seed=2)  # one step less
 @example(c=1, odd=False, steps=1, seed=3)  # fewer steps than a block: 3 samples
+@example(c=2, odd=True, steps=1, seed=5)  # one 2 dt step and the tail: 4 samples
 def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
     r = np.random.default_rng(seed)
-    # an odd interval count steps dt, so it needs an odd step count, and
-    # one step would be a 2-sample trajectory
-    odd = odd and steps % 2 == 1 and steps > 1
-    intervals = steps if odd else 2 * steps
+    # steps of 2 dt read U at 2 * steps + 1 samples, up to three blocks of
+    # lab-frame Liouvillians; an odd interval count adds one step of dt
+    intervals = 2 * steps + odd
     t0, dt = r.uniform(-1.0, 1.0), 1.0 / intervals
     z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
     useq = EvolutionSequence(t0, dt, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
-    # an odd count reads U on the half grid: the samples and the geodesic midpoints
-    u = geodesic_half_grid(useq.u) if odd else useq.u
-    # the RK4 reads U at 2 * steps + 1 grid times, up to three blocks of
-    # lab-frame Liouvillians
-    assert len(u) == 2 * steps + 1
     h = random_hermitian(r)
     a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
     kms = 0.01 * a @ a.conj().swapaxes(1, 2)
@@ -532,9 +527,9 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
     # a constant trajectory, so that the deviation is the excursion from rho0
     traj = Trajectory(t0, dt, np.broadcast_to(rho0, (intervals + 1, 4, 4)))
     rep = roundtrip_verify(traj, h, [KossakowskiMatrix(km) for km in kms], useq)
-    step = dt if odd else 2 * dt
     for j, km in enumerate(kms):
-        samples, _ = rk4_per_state(_lab_frame_oracle(h, km, u, t0, step), rho0, t0, step, steps)
+        samples = stride_rule_states(_lab_frame_oracle(h, km), useq.u, rho0, t0, dt)
+        assert len(samples) == steps + odd + 1
         diff = (samples - rho0).reshape(-1, 2, 2, 2, 2)
         assert rep.max_deviation[j] == pytest.approx(
             np.linalg.norm(diff.reshape(-1, 16), axis=1).max(), rel=1e-12
@@ -547,9 +542,39 @@ def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
         )
 
 
+@pytest.mark.parametrize("intervals", [3, 7])
+def test_tail_midpoint_is_geodesic_midpoint(intervals):
+    # for U(t) = exp(-iHt) the geodesic midpoint of the last two samples is
+    # U(t_{n-2} + dt/2), as long as the step turns every phase by less than
+    # pi, so the round trip must meet samples made by RK4 with the exact U(t)
+    r = np.random.default_rng(intervals)
+    hu = random_hermitian(r)
+    t0, dt = 0.3, 0.5 / np.max(np.abs(np.linalg.eigvalsh(hu)))
+    u = np.array([expm(-1j * hu * i * dt) for i in range(intervals + 1)])
+    useq = EvolutionSequence(t0, dt, u)
+    h, a = random_hermitian(r), r.normal(size=(15, 15)) + 1j * r.normal(size=(15, 15))
+    km = KossakowskiMatrix(0.01 * a @ a.conj().T)
+    gen = _lab_frame_oracle(h, km.k)
+
+    def exact(rho, t, step, n):
+        return rk4_per_state(lambda s, x: gen(expm(-1j * hu * (s - t0)), x), rho, t, step, n)[0]
+
+    states = exact(random_state(r), t0, 2 * dt, intervals // 2)
+    tail = exact(states[-1], t0 + (intervals - 1) * dt, dt, 1)[-1]
+    samples = np.empty((intervals + 1, 4, 4), dtype=complex)
+    # the odd samples before the last one are not compared
+    samples[::2], samples[1::2], samples[-1] = states, states[0], tail
+    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [km], useq)
+    assert rep.max_deviation[0] < 1e-13
+    # the tail step's state is compared with the last sample
+    samples[-1] = states[-1]
+    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [km], useq)
+    assert rep.max_deviation[0] == pytest.approx(np.linalg.norm(tail - states[-1]), rel=1e-9)
+
+
 def test_roundtrip_memory_does_not_grow_with_n():
-    # the states are compared with the samples one block at a time, and on
-    # an odd interval count U on the half grid is built one block at a time,
+    # the states are compared with the samples one block at a time, and an
+    # odd interval count adds one step of dt with its own three Liouvillians,
     # so the traced peak of four candidates is the same at 4 and 16 blocks
     def traced_peak(intervals):
         r = np.random.default_rng(intervals)

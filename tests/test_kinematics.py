@@ -66,6 +66,19 @@ class TestIsospectral:
         assert not rep.isospectral
         assert rep.max_distance == pytest.approx(0.5, abs=1e-6)
 
+    def test_distance_matches_eigvalsh_oracle(self):
+        pair = scenario_example2(1.0).marginals(0.0, np.pi / 2000, 2001)
+        oracle = np.linalg.eigvalsh(pair.rho_a.samples) - np.linalg.eigvalsh(pair.rho_b.samples)
+        dist = isospectral_test(pair).max_distance
+        assert dist == pytest.approx(np.abs(oracle).max(), rel=0, abs=1e-15)
+
+    def test_non_hermitian_marginal_rejected(self):
+        pair = scenario_example1(2.0).marginals(0.0, 0.05, 10)
+        skew = pair.rho_a.samples.copy()
+        skew[4, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="isospectral_test expects a Hermitian"):
+            isospectral_test(MarginalPair(Trajectory(0.0, 0.05, skew), pair.rho_b))
+
 
 class TestWindow:
     def test_nonexistence_constants(self):

@@ -156,6 +156,23 @@ class TestRk4:
             with pytest.raises(RuntimeError):
                 rk4_integrate(rhs, np.eye(2, dtype=complex), 0.0, 1.0, 100)
 
+    def test_blowup_names_its_step_at_a_large_t0(self):
+        # from t0 = 1.7e9 the times of nearby steps agree to six digits, so
+        # the message names the step: step k is the one that ends at sample k
+        t0, dt = 1.7e9, 0.005
+        messages = []
+        for bad in (3, 4):
+            def rhs(t, r, bad=bad):  # not finite from the midpoint of step `bad` on
+                return np.full_like(r, np.nan) if t > t0 + (bad - 0.75) * dt else -1j * r
+
+            with pytest.raises(RuntimeError) as exc:
+                rk4_integrate(rhs, np.eye(2, dtype=complex), t0, dt, 10)
+            messages.append(str(exc.value))
+        assert messages == [
+            "integration produced non-finite values in step 3",
+            "integration produced non-finite values in step 4",
+        ]
+
 
 # (n, 2, 4, 4) real and imaginary parts of Z; each sample is Z Z^dag / Tr.
 state_factors = arrays(

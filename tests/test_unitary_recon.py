@@ -15,7 +15,6 @@ from qmp.unitary_recon import (
     _aligned,
     _best_permutation,
     _block_ids,
-    _half_grid,
     EvolutionSequence,
     eigenframe_decompose,
     hamiltonian_from_evolution,
@@ -146,22 +145,6 @@ class TestHamiltonianFromEvolution:
         h1 = hamiltonian_from_evolution(seq).trajectory.samples
         h2 = hamiltonian_from_evolution(shifted).trajectory.samples
         np.testing.assert_allclose(h1, h2, atol=1e-10)
-
-
-def test_half_grid_is_geodesic_midpoint():
-    # for U(t) = exp(-iHt) the geodesic midpoint of U_i and U_{i+1} is
-    # U(t_i + dt/2), as long as the step turns every phase by less than pi
-    h = random_hermitian(np.random.default_rng(5))
-    dt = 0.5 / np.max(np.abs(np.linalg.eigvalsh(h)))
-    u = np.array([expm(-1j * h * i * dt) for i in range(7)])
-    half = _half_grid(u, 0, 13)
-    assert half.shape == (13, 4, 4)
-    np.testing.assert_array_equal(half[::2], u)
-    mid = np.array([expm(-1j * h * (i + 0.5) * dt) for i in range(6)])
-    np.testing.assert_allclose(half[1::2], mid, atol=1e-13)
-    # a block is its slice of the whole half grid, bit for bit, cut at the end
-    for start, count in [(0, 1), (2, 4), (4, 5), (10, 8), (12, 3)]:
-        np.testing.assert_array_equal(_half_grid(u, start, count), half[start : start + count])
 
 
 class TestEigenframe:
