@@ -16,8 +16,9 @@ t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
 written as compact JSON (no whitespace), streamed CHUNK samples at a
 time, so the whole text is never held in memory. They are read in any
 JSON layout: when samples is the last key and an array of [re, im]
-float pairs, it is read flat; any other layout goes through json, with
-the same values, exit code and message. reconstruct master takes any
+float pairs, it is read flat, a few hundred kB of its text at a time;
+any other layout goes through json, with the same values, exit code
+and message. reconstruct master takes any
 t0, and a marginal pair's grids are compared relative to dt.
 Exit codes: 0 success, 2 validation failure (an invalid state, a
 non-finite sample to be written, a file that is not a dim-4 joint
@@ -30,21 +31,21 @@ candidates (the CP-valid candidates integrate as one stack, so one
 that diverges ends the round trip of all of them; report.json is not
 written), 4 parse error:
 unreadable JSON (undecodable bytes, invalid or too deeply nested JSON)
-or any schema violation (a missing or mistyped field, a sample of the
-wrong shape, a non-finite number, n < 3, dt <= 0), reported with the
+or any schema violation (a missing or mistyped field, a true or false
+among the samples, a sample of the wrong shape, a non-finite number,
+n < 3, dt <= 0), reported with the
 field or sample index; or a bad argument, reported with the option's
 name: one the parser rejects (an unknown command or option, a missing
 one, a value that is not a number), --steps < 2, a --t-max, --J,
---omega, --tol or QMP_TOL that is not a finite number > 0, or a
+--omega or --tol that is not a finite number > 0, or a
 --gamma that is not a finite number >= 0; or an --out that cannot be
 written (a file where a directory is wanted, a directory where a file
 is wanted, no permission), reported with the path. A reader that
 closes standard output early does not change the exit code.
-The env var QMP_TOL overrides the default tolerance 1e-10 used by the
-checks, and check's --tol overrides both. The tolerance sets the
-unitarity verdict of a joint file (the drift of Tr rho^k for k = 2..4)
-and the "isospectral" verdict of a marginal pair. reconstruct reads
-neither: it calls a trajectory unitary up to a drift of 1e-8.
+check's --tol (default 1e-10) sets the unitarity verdict of a joint
+file (the drift of Tr rho^k for k = 2..4) and the "isospectral" verdict
+of a marginal pair. reconstruct takes no tolerance: it calls a
+trajectory unitary up to a drift of 1e-8.
 
 reconstruct master reports a list of candidate generators. A unitary
 trajectory has one, "unitary", the K = 0 candidate; otherwise they come
@@ -95,11 +96,6 @@ def _positive_finite(raw, name: str, zero_ok: bool = False) -> float:
         bound = ">= 0" if zero_ok else "> 0"
         raise CliError(f"{name} must be a finite number {bound}, got {raw!r}", EXIT_PARSE)
     return value
-
-
-def default_tol() -> float:
-    raw = os.environ.get("QMP_TOL")
-    return 1e-10 if raw is None else _positive_finite(raw, "QMP_TOL")
 
 
 def _joint_trajectory(path: str, command: str) -> Trajectory:
@@ -154,7 +150,7 @@ def _atomic_write(path: str, chunks):
             os.unlink(tmp)
 
 
-CHUNK = 1024  # samples (or CSV rows) per %-template write and per flat-read parse
+CHUNK = 1024  # samples (or CSV rows) per %-template write
 
 
 def _formatted_rows(rows: np.ndarray, row: str, sep: str):
@@ -173,6 +169,12 @@ def _field(doc: dict, name: str, kind):
         return kind(doc[name])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"field {name!r} is missing or malformed: {exc}", EXIT_PARSE)
+
+
+def _has_bool(samples: list) -> bool:
+    """Whether nested lists of [re, im] pairs hold a true or false, which
+    numpy would read among floats as 1.0 or 0.0."""
+    return bool in set(map(type, chain.from_iterable(chain.from_iterable(samples))))
 
 
 def trajectory_from_dict(doc: dict) -> Trajectory:
@@ -198,6 +200,9 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
             f"samples must be ({n}, {dim * dim}, 2) numbers, got {pairs.dtype} {pairs.shape}",
             EXIT_PARSE,
         )
+    if not isinstance(raw, np.ndarray) and _has_bool(raw):
+        first = next(i for i, sample in enumerate(raw) if _has_bool([sample]))
+        raise CliError(f"sample {first} has a true or false entry", EXIT_PARSE)
     finite = _joined(lambda x: np.isfinite(x).all(axis=(1, 2)), pairs)
     if not finite.all():
         raise CliError(f"sample {np.argmin(finite)} has a non-finite entry", EXIT_PARSE)
@@ -236,111 +241,80 @@ def write_trajectory(path: str, traj: Trajectory, params=None):
 
 
 _JSON_SPACE = b" \t\n\r"  # the bytes of json.decoder.WHITESPACE
-_SAMPLES_KEY = re.compile(b'"samples"[' + _JSON_SPACE + b"]*:[" + _JSON_SPACE + b"]*")
+# a "samples" key and the [ of its value
+_SAMPLES_KEY = re.compile(b'"samples"[' + _JSON_SPACE + b"]*:[" + _JSON_SPACE + b"]*\\[")
+# the , after the ]] that ends a sample
+_SAMPLE_END = re.compile(b"\\][" + _JSON_SPACE + b"]*\\][" + _JSON_SPACE + b"]*,")
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-_OPEN, _CLOSE, _COMMA = b"[],"  # their byte values
-_IS_MARK = np.zeros(256, dtype=bool)
-_IS_MARK[[_OPEN, _CLOSE, _COMMA]] = True
-_WINDOW = 1 << 16  # bytes per window of a scan over the file
+_SKELETON = bytes(b if b in b"[]," else ord("v") for b in range(256))  # v: a byte of a value
+_PIECE = 1 << 18  # bytes of the samples array per check and per parse
 
 
-def _marks(data: bytes, start: int):
-    """Yield (offset, positions, marks) for each _WINDOW bytes of data from
-    start: the positions (from offset) and byte values of its [, ] and ,."""
-    for offset in range(start, len(data), _WINDOW):
-        window = np.frombuffer(data, np.uint8, min(_WINDOW, len(data) - offset), offset)
-        at = np.flatnonzero(_IS_MARK[window])
-        yield offset, at, window[at]
+def _flat_samples(data: bytes, start: int, end: int):
+    """The JSON array data[start:end + 1], from its [ to its ], as an
+    (a, m, 2) float array when it is a canonical array of [re, im] float
+    pairs in any whitespace, else None.
 
-
-def _flat_samples(data: bytes, start: int):
-    """(samples, end) for the JSON array at data[start:end] when it is a
-    canonical (a, m, 2) array of floats in any whitespace, else None.
-
-    It is read flat only when all four checks pass: (1) bracket depth
-    finds its end; (2) its sequence of [, ] and , is that of shape
-    (a, m, 2); (3) with the whitespace dropped, every [ follows [ or ,
-    and every ] is followed by ] or , so no value stands outside a pair;
-    (4) json.loads of each CHUNK of samples, its brackets turned into
-    spaces, gives exactly 2 m floats per sample. Its floats are then the
-    ones json.loads would put in the nested lists.
+    The array is cut at the first ]], after every _PIECE bytes, so that
+    each piece is a list of values once its brackets are spaces and, in
+    a canonical array, a run of whole samples. It is read flat only when
+    (1) no piece, its whitespace dropped, has a value right before a [ or
+    right after a ], so every value stands in a pair; (2) the [, ] and ,
+    of each piece are those of k samples of m pairs, m set by the first
+    ]]; (3) json.loads of each piece, its brackets turned into spaces,
+    gives a non-empty list of 2 m k floats. Its floats are then the ones
+    json.loads would put in the nested lists.
     """
-    if not data.startswith(b"[", start):
-        return None
-    # (1) and (2): after the array's [, a canonical array's marks are
-    # those of one sample and its , over and over, until they first
-    # differ: there, at the end of a sample, stands the array's ]. Its
-    # first ]] (pair, sample) gives m. The marks are scanned a window at
-    # a time, and only the marks before each chunk's first sample (the
-    # edges of the chunks) and the array's ] are kept.
-    head = b""
-    for _, _, marks in _marks(data, start + 1):
-        head += marks.tobytes()
-        if b"]]" in head:
-            break
-    m = (head.find(b"]]") + 1) // 4
-    if m < 1:
-        return None
-    width = 4 * m + 2  # the marks of one sample and its separator
-    period = np.frombuffer(b"[" + b",".join([b"[,]"] * m) + b"],", np.uint8)
-    edges, count = [start], 1  # count: marks before the window, the array's [ included
-    for offset, at, marks in _marks(data, start + 1):
-        phase = (count - 1) % width
-        differ = np.flatnonzero(marks != np.resize(np.roll(period, -phase), len(marks)))
-        stop = differ[0] if differ.size else len(marks)
-        first = -count % (width * CHUNK)  # the window's first chunk edge
-        edges += (offset + at[first:stop:width * CHUNK]).tolist()
-        if differ.size:
-            end = count + stop
-            if end % width or marks[stop] != _CLOSE:
-                return None
-            edges.append(offset + at[stop])
-            break
-        count += len(marks)
-    else:
-        return None
-    a = end // width
-    out = np.empty((a, m, 2))
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        span = data[lo + 1:hi]
-        # (3)
-        compact = np.frombuffer(span.translate(None, _JSON_SPACE), np.uint8)
-        opens, closes = np.flatnonzero(compact == _OPEN), np.flatnonzero(compact == _CLOSE)
-        before, after = compact[opens[1:] - 1], compact[closes[:-1] + 1]
-        if not (
-            opens[0] == 0 and closes[-1] == len(compact) - 1
-            and np.all((before == _OPEN) | (before == _COMMA))
-            and np.all((after == _CLOSE) | (after == _COMMA))
-        ):
+    cuts = [start]
+    while cut := _SAMPLE_END.search(data, cuts[-1] + _PIECE, end):
+        cuts.append(cut.end() - 1)
+    pieces = [slice(lo + 1, hi) for lo, hi in zip(cuts, cuts[1:] + [end])]
+    sample, counts = b"", []
+    for piece in pieces:
+        skeleton = data[piece].translate(_SKELETON, _JSON_SPACE)
+        marks = skeleton.translate(None, b"v")
+        # the marks of one sample, whose first ]] closes its last pair
+        sample = sample or b"[" + b",".join([b"[,]"] * ((marks.find(b"]]") + 1) // 4)) + b"]"
+        k = (len(marks) + 1) // (len(sample) + 1)
+        if b"v[" in skeleton or b"]v" in skeleton:  # (1)
             return None
-        # (4)
+        if marks != b",".join([sample] * k):  # (2)
+            return None
+        counts.append(k)
+    m = len(sample) // 4
+    out = np.empty((sum(counts), m, 2))
+    done = 0
+    for piece, k in zip(pieces, counts):  # (3)
         try:
-            values = json.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]")
+            values = json.loads(b"[" + data[piece].translate(_BRACKETS_TO_SPACES) + b"]")
         except ValueError:
             return None
-        block = out[j * CHUNK:(j + 1) * CHUNK]
-        if len(values) != block.size or set(map(type, values)) != {float}:
+        if len(values) != 2 * m * k or set(map(type, values)) != {float}:
             return None
-        block.flat = values
-    return out, edges[-1] + 1
+        out[done:done + k].flat = values
+        done += k
+    return out
 
 
 def _flat_document(data: bytes):
     """The JSON document of the ASCII bytes ``data`` with its "samples"
-    array read flat, or None. Taken only when the first "samples" key is
-    followed by an array that _flat_samples reads, then by whitespace
-    and the closing }, and json.loads of the bytes before the key, with
-    "samples":null} put after them, gives an object whose last key is
-    "samples": then the key the regex found is the document's last key,
-    not text inside another key or a string."""
-    key = _SAMPLES_KEY.search(data)
-    flat = key and _flat_samples(data, key.end())
-    if not flat or data[flat[1]:].strip(_JSON_SPACE) != b"}":
+    array read flat, or None. Taken only when the text's last ] is
+    followed by whitespace, } and whitespace; the first "samples" key
+    starts an array that ends at that ] and _flat_samples reads; and
+    json.loads of the bytes before the key, with "samples":null} put
+    after them, gives an object whose last key is "samples": then the
+    key the regex found is the document's last key, not text inside
+    another key or a string."""
+    key, close = _SAMPLES_KEY.search(data), data.rfind(b"]")
+    if not key or data[close + 1:].strip(_JSON_SPACE) != b"}":
+        return None
+    samples = _flat_samples(data, key.end() - 1, close)
+    if samples is None:
         return None
     doc = json.loads(data[:key.start()] + b'"samples":null}')
     if list(doc)[-1:] != ["samples"]:
         return None
-    doc["samples"] = flat[0]
+    doc["samples"] = samples
     return doc
 
 
@@ -437,7 +411,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_check(args) -> int:
-    tol = default_tol() if args.tol is None else _positive_finite(args.tol, "--tol")
+    tol = _positive_finite(args.tol, "--tol")
     if len(args.files) == 1:
         traj = _joint_trajectory(args.files[0], "single-file check")
         rep = kinematics.unitarity_test(traj, tol)
@@ -599,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="unitarity / marginal-pair checks")
     ck.add_argument("files", nargs="+", help="joint file, or marginal A and B files")
-    ck.add_argument("--tol", default=None)
+    ck.add_argument("--tol", default="1e-10")
     ck.add_argument("--out", default=None)
     ck.set_defaults(func=cmd_check)
 

@@ -10,6 +10,7 @@ throughout the test suite are provided as samplers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,19 @@ class MarginalPair:
             raise ValueError("marginals must be 2x2 trajectories")
         if _grids_differ(a, b):
             raise ValueError("marginal grids differ")
+
+    @cached_property
+    def bloch_vectors(self) -> tuple:
+        """(r_a, r_b), r_k = Tr(rho sigma_k) for k = 0..3 of each marginal:
+        (n, 4) each and read-only. Computed once, with one Hermiticity
+        check per marginal, for every test of the pair that reads them."""
+        vectors = []
+        for traj in (self.rho_a, self.rho_b):
+            _require_hermitian(traj.samples, "MarginalPair")
+            r = np.einsum("nij,kji->nk", traj.samples, SIGMA).real
+            r.setflags(write=False)
+            vectors.append(r)
+        return tuple(vectors)
 
 
 @dataclass(frozen=True)
@@ -93,16 +107,10 @@ def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
     return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
 
 
-def _bloch_vectors(traj: Trajectory, name: str) -> np.ndarray:
-    """r_k = Tr(rho sigma_k), k = 0..3, of a Hermitian qubit trajectory: (n, 4)."""
-    _require_hermitian(traj.samples, name)
-    return np.einsum("nij,kji->nk", traj.samples, SIGMA).real
-
-
 def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport:
     """Max distance between the sorted spectra (r0 -+ |r|)/2 of marginals
     with Bloch vectors r_a, r_b: max over t of (|r0_a - r0_b| + ||r_a| - |r_b||)/2."""
-    ra, rb = (_bloch_vectors(m, "isospectral_test") for m in (pair.rho_a, pair.rho_b))
+    ra, rb = pair.bloch_vectors
     d0 = np.abs(ra[:, 0] - rb[:, 0])
     d = np.abs(np.linalg.norm(ra[:, 1:], axis=1) - np.linalg.norm(rb[:, 1:], axis=1))
     dist = float(np.max(d0 + d)) / 2
@@ -113,18 +121,17 @@ def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport
 _AXIS_FLOOR = 1e-12
 
 
-def _bloch_branches(traj: Trajectory):
+def _bloch_branches(r: np.ndarray):
     """Labeled branches (r0 + alpha)/2, (r0 - alpha)/2 of a qubit trajectory
-    with Bloch vector r_k = Tr(rho sigma_k) and alpha = +-|r|, labeled as
-    unitary_window states. A sample with |r| <= _AXIS_FLOOR has no axis
-    and takes the sign of the last one above (the first, if none is).
+    with (n, 4) Bloch vectors r_k = Tr(rho sigma_k) and alpha = +-|r|,
+    labeled as unitary_window states. A sample with |r| <= _AXIS_FLOOR has
+    no axis and takes the sign of the last one above (the first, if none is).
     """
-    r = _bloch_vectors(traj, "unitary_window")
     length = np.linalg.norm(r[:, 1:], axis=1)
     axes = np.flatnonzero(length > _AXIS_FLOOR)
     u = r[axes, 1:] / length[axes, None]
     reversals = np.cumsum(np.einsum("ik,ik->i", u[1:], u[:-1]) < 0)
-    last = np.maximum(np.searchsorted(axes, np.arange(traj.n), side="right") - 1, 0)
+    last = np.maximum(np.searchsorted(axes, np.arange(len(r)), side="right") - 1, 0)
     parity = np.concatenate(([0], reversals))[last] % 2
     ref = np.argmax(length > length.max() - _AXIS_FLOOR)
     alpha = np.where(parity == parity[ref], length, -length)
@@ -162,8 +169,7 @@ def unitary_window(pair: MarginalPair) -> WindowReport:
     largest, so rounding cannot pick between tied peaks (b1 likewise).
     Extrema are evaluated on the grid with local quadratic refinement.
     """
-    a = _bloch_branches(pair.rho_a)
-    b = _bloch_branches(pair.rho_b)
+    a, b = map(_bloch_branches, pair.bloch_vectors)
     g1 = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
     g2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return WindowReport(_refined_extremum(g1), 1.0 - _refined_extremum(g2))

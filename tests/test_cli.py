@@ -103,6 +103,24 @@ def test_schema_violations_exit_4(tmp_path, capsys, edits, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layout", ["last-key", "first-key"])
+@pytest.mark.parametrize("sample, pair", [(0, [True, 0.0]), (2, [False, 0.0])], ids=["true", "false"])
+def test_boolean_entries_exit_4(tmp_path, capsys, layout, sample, pair):
+    # example3 starts in |00><00|, and entry 1 of every sample is 0, so
+    # numpy, which reads true and false among floats as 1.0 and 0.0,
+    # would see valid states
+    doc = trajectory_to_dict(scenario_example3(2.0, 0.2).joint(0.0, 0.1, 3))
+    doc["samples"][sample][sample // 2] = pair
+    if layout == "first-key":
+        doc = {"samples": doc.pop("samples"), **doc}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    _assert_reads_as_oracle(path)
+    assert run("check", path) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"sample {sample} has a true or false entry" in err and "Traceback" not in err
+
+
 def test_written_trajectory_is_compact_json(tmp_path):
     traj = scenario_example1(2.0).joint(0.0, 0.07, 5)
     path = tmp_path / "t.json"
@@ -259,11 +277,14 @@ _WIDER = json.dumps(_DOC["samples"] + _DOC["samples"][:1])
 @example(text=re.sub(r"\]\], \[(\[[^]]*\]), ", r"], \1], [", json.dumps(_DOC), count=1))
 @example(text=json.dumps(_DOC).replace('"samples": [', '"samples": [ 5 [', 1))
 @example(text=json.dumps(_DOC)[:-2])
+@example(text=json.dumps(_DOC)[:-2] + ", 0.5]}")
 @example(text=json.dumps(_DOC).replace('"params": {}', '"samples": ' + _WIDER, 1))
 @example(text=json.dumps(_DOC)[:-1] + ', "samples": ' + _WIDER + "}")
 @example(text=json.dumps(_DOC)[:-1] + ', "samples": ' + _SAMPLES[:-1] + "}")
 @example(text=json.dumps(_DOC) + " x")
 @example(text=json.dumps(_DOC, indent=1).replace("\n", "\r\n"))
+@example(text=json.dumps(_DOC) + "\n")
+@example(text=json.dumps(_DOC)[:-1] + " \r\n}\t")
 @example(text=json.dumps(_DOC, ensure_ascii=False).replace('"params": {}', '"params": {"\u00e9": 1}'))
 # samples not last, or a "samples" that is not the key: each goes to json
 @example(text=json.dumps({"samples": _DOC["samples"], **{k: v for k, v in _DOC.items() if k != "samples"}}))
@@ -271,15 +292,15 @@ _WIDER = json.dumps(_DOC["samples"] + _DOC["samples"][:1])
 @example(text=json.dumps(_DOC).replace('"samples": ', '"\\u0073amples": null, "x\\"samples": ', 1))
 @example(text=json.dumps({**_DOC, "params": {"note": '"samples": ['}}))
 def test_reader_matches_nested_oracle(tmp_path, monkeypatch, text):
-    # two-sample chunks, so that a 3-sample document spans two of them
-    monkeypatch.setattr(cli, "CHUNK", 2)
     path = tmp_path / "t.json"
     path.write_bytes(text.encode())
     oracle = _outcome(load_trajectory_nested, path)
-    # scan windows of a few bytes put the window edges inside the marks
-    # of each sample and at the chunk edges
-    for window in (1, 5, 64, 1 << 16):
-        monkeypatch.setattr(cli, "_WINDOW", window)
+    # pieces of up to 64 bytes cut the array after every sample, so that a
+    # 3-sample document spans three pieces; 256 bytes cut it after the
+    # second sample in the compact and spaced layouts; the default takes
+    # it whole
+    for piece in (1, 5, 64, 256, cli._PIECE):
+        monkeypatch.setattr(cli, "_PIECE", piece)
         assert _outcome(load_trajectory, path) == oracle
 
 
@@ -307,12 +328,14 @@ def test_unbalanced_samples_exit_4(tmp_path, capsys, cut):
 
 
 def test_multi_chunk_file_reads_flat(tmp_path):
-    # 2.5 chunks of samples in each layout: the samples, the last key, are
-    # read flat, and the other fields are those json.loads gives
+    # 2.5 CHUNKs of samples, several pieces in each layout and with a
+    # trailing newline: the samples, the last key, are read flat, and the
+    # other fields are those json.loads gives
     traj = scenario_example1(2.0).joint(0.0, 1e-3, 5 * CHUNK // 2)
     path = tmp_path / "t.json"
-    for layout in _LAYOUTS.values():
-        text = json.dumps(trajectory_to_dict(traj, {"J": 2.0}), **layout)
+    texts = [json.dumps(trajectory_to_dict(traj, {"J": 2.0}), **layout) for layout in _LAYOUTS.values()]
+    assert min(map(len, texts)) > 2 * cli._PIECE
+    for text in texts + [texts[0] + "\n"]:
         path.write_text(text)
         doc = cli._read_document(str(path))
         samples = doc.pop("samples")
@@ -660,8 +683,8 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
-# the parse scratch of one CHUNK of samples (its text and its Python floats)
-# and the state check of one chunk, whatever n
+# the check and parse scratch of one _PIECE of the samples text (its copies
+# and its Python floats) and the state check of one chunk, whatever n
 _LOAD_SCRATCH = 4_000_000
 
 
@@ -730,14 +753,16 @@ def test_written_files_follow_umask(tmp_path):
 
 
 def test_qmp_tol_env_override(tmp_path, monkeypatch):
+    # check's tolerance is --tol or 1e-10; the QMP_TOL variable is not read
     out = tmp_path / "ex1"
     run("scenario", "example1", "--J", 2, "--t-max", 3.1, "--steps", 50, "--out", out)
     report = tmp_path / "r.json"
-    monkeypatch.setenv("QMP_TOL", "1e-3")
-    run("check", out / "joint.json", "--out", report)
-    assert json.loads(report.read_text())["tol"] == 1e-3
-    monkeypatch.setenv("QMP_TOL", "banana")
-    assert run("check", out / "joint.json") == EXIT_PARSE
+    for env in ("1e-3", "banana"):
+        monkeypatch.setenv("QMP_TOL", env)
+        assert run("check", out / "joint.json", "--out", report) == EXIT_OK
+        assert json.loads(report.read_text())["tol"] == 1e-10
+        assert run("check", out / "joint.json", "--tol", "0.5", "--out", report) == EXIT_OK
+        assert json.loads(report.read_text())["tol"] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -795,23 +820,17 @@ def test_help_exits_0(capsys):
     assert "usage: qmp" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "option, env",
-    [(["--tol", "nan"], None), (["--tol", "-1"], None), ([], "nan"), ([], "-1")],
-    ids=["tol-nan", "tol-negative", "env-nan", "env-negative"],
-)
-def test_bad_tolerance_exits_4(tmp_path, capsys, monkeypatch, option, env):
+@pytest.mark.parametrize("tol", ["nan", "-1"], ids=["tol-nan", "tol-negative"])
+def test_bad_tolerance_exits_4(tmp_path, capsys, tol):
     out = tmp_path / "ex1"
     run("scenario", "example1", "--t-max", 3.1, "--steps", 20, "--out", out)
-    if env is not None:
-        monkeypatch.setenv("QMP_TOL", env)
-    assert run("check", out / "joint.json", *option, "--out", tmp_path / "r.json") == EXIT_PARSE
-    assert ("QMP_TOL" if env is not None else "--tol") in capsys.readouterr().err
+    assert run("check", out / "joint.json", "--tol", tol, "--out", tmp_path / "r.json") == EXIT_PARSE
+    assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 
 def test_qmp_tol_does_not_reach_reconstruct(tmp_path, monkeypatch):
-    # QMP_TOL sets check's tolerance only; reconstruct gates unitarity at 1e-8
+    # no command reads QMP_TOL; reconstruct gates unitarity at 1e-8
     out = tmp_path / "ex3"
     run("scenario", "example3", "--t-max", 2, "--steps", 400, "--out", out)
     reports = []

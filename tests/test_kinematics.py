@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qmp import kinematics
 from qmp.kinematics import (
     MarginalPair,
     isospectral_test,
@@ -76,8 +77,23 @@ class TestIsospectral:
         pair = scenario_example1(2.0).marginals(0.0, 0.05, 10)
         skew = pair.rho_a.samples.copy()
         skew[4, 0, 1] += 0.1
-        with pytest.raises(ValueError, match="isospectral_test expects a Hermitian"):
+        with pytest.raises(ValueError, match="MarginalPair expects a Hermitian"):
             isospectral_test(MarginalPair(Trajectory(0.0, 0.05, skew), pair.rho_b))
+
+
+def test_pair_tests_share_one_bloch_pass_per_marginal(monkeypatch):
+    # check A B runs both tests on one pair: each marginal's Hermiticity
+    # check and Bloch vectors are computed once
+    checked = []
+    require = kinematics._require_hermitian
+    monkeypatch.setattr(
+        kinematics, "_require_hermitian", lambda a, caller: checked.append(a) or require(a, caller)
+    )
+    pair = scenario_example2(1.0).marginals(0.0, np.pi / 200, 201)
+    iso, win = isospectral_test(pair), unitary_window(pair)
+    assert [id(a) for a in checked] == [id(pair.rho_a.samples), id(pair.rho_b.samples)]
+    fresh = scenario_example2(1.0).marginals(0.0, np.pi / 200, 201)
+    assert (iso, win) == (isospectral_test(fresh), unitary_window(MarginalPair(fresh.rho_a, fresh.rho_b)))
 
 
 class TestWindow:
