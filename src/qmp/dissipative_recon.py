@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -373,10 +372,10 @@ def candidate_diagonals(fit: DiagonalFit):
 
 # grid times per block of lab-frame Liouvillians in roundtrip_verify: 64
 # (256 kB per candidate) ran as fast as 256 (1 MB per candidate), while
-# 1024 and 4096 were slower. Each RK4 step reads two new grid times, so
-# the integrated states are compared with the samples in blocks of
-# _BLOCK // 2 steps, and the round trip's memory is set by these two
-# blocks, not by n.
+# 1024 and 4096 were slower. A block is _BLOCK // 2 RK4 steps of 2 dt, which
+# read _BLOCK + 1 grid times, the last one shared with the next block; its
+# states are compared with the samples before the next block is built, so
+# the round trip's memory is set by one block, not by n.
 _BLOCK = 64
 
 
@@ -407,64 +406,57 @@ def roundtrip_verify(
 
     The generator of state j, Hamiltonian part included, is one
     lab-frame Liouvillian per grid time, L_j(t) = L_h + S(t) L_Kj S(t)^dag
-    (see the module docstring), built for one block of _BLOCK grid times
-    at a time. All c run as one (c, 4, 4) stack in one RK4 loop, and each
-    stage is one (c, 16, 16) @ (c, 16, 1) product. The steps are 2 dt:
+    (see the module docstring). All c run as one (c, 4, 4) stack, and each
+    RK4 stage is one (c, 16, 16) @ (c, 16, 1) product. The steps are 2 dt,
+    taken in blocks of _BLOCK // 2: a block builds the Liouvillians of its
+    _BLOCK + 1 grid times, sharing the first with the block before, and
     stage s of step i reads U at sample 2 i + s, not at its time, so any
-    t0 works. An odd interval count ends with one step of dt, sample
-    n - 2 to n - 1, whose midpoint is the polar factor of U_{n-2} + U_{n-1}
-    (their geodesic midpoint while ||log(U_{n-2}^dag U_{n-1})|| < pi).
+    t0 works. An odd interval count ends with one more block, one step of
+    dt from sample n - 2 to n - 1 over three unitaries: U_{n-2}, the polar
+    factor of U_{n-2} + U_{n-1} at the midpoint (their geodesic midpoint
+    while ||log(U_{n-2}^dag U_{n-1})|| < pi), and U_{n-1}.
     Deviations are the max Frobenius distance of the joint state and the
     max absolute entry deviation of each marginal, over the states after
-    every step, compared with the samples _BLOCK // 2 steps at a time;
-    only the running maxima are kept, so no array grows with n. The
-    stack stops at the first step with a non-finite entry in any state,
-    which raises RuntimeError naming the step; a deviation of finite
-    states past the float range is returned as inf, with no warning.
+    every step, compared with the samples one block at a time; only the
+    running maxima are kept, so no array grows with n. The stack stops
+    at the first step with a non-finite entry in any state, which raises
+    RuntimeError naming the step; a deviation of finite states past the
+    float range is returned as inf, with no warning.
     """
     h = np.asarray(h, dtype=complex)
     eye = np.eye(4)
     lh = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     lk = np.stack([k.liouvillian for k in ks])
-    start, block = -_BLOCK, None
-
-    def rhs(step, stage, rho):
-        nonlocal start, block
-        i = 2 * step + stage  # the stage's sample
-        if not start <= i < start + _BLOCK:
-            start = i - i % _BLOCK
-            block = _lab_frame(lk, useq.u[start : start + _BLOCK]) + lh
-        return (block[i - start] @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
-
-    rho0 = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
-    trace0 = np.trace(rho0, axis1=-2, axis2=-1)
+    last = 2 * ((traj.n - 1) // 2)  # the last sample a step of 2 dt reaches
+    u, ref = useq.u[: last + 1], traj.samples[: last + 1]
+    # (first step, step size, its 2 k + 1 unitaries, the k samples its steps reach)
+    blocks = [
+        (i // 2, 2 * traj.dt, u[i : i + _BLOCK + 1], ref[i + 2 : i + _BLOCK + 1 : 2])
+        for i in range(0, last, _BLOCK)
+    ]
+    if last < traj.n - 1:  # an odd interval count: one last step of dt
+        a, b = useq.u[-2], useq.u[-1]
+        # a non-finite entry would stop the SVD, so it is made finite: the
+        # step then reads U_{n-1} itself and raises, naming the step
+        w, _, vh = np.linalg.svd(np.nan_to_num(a + b))
+        blocks.append((last // 2, traj.dt, np.stack([a, w @ vh, b]), traj.samples[-1:]))
+    rho = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
+    trace0 = np.trace(rho, axis1=-2, axis2=-1)
     # rows: deviation, marginal A, marginal B, trace drift; sample 0 is rho0
     worst = np.zeros((4, len(ks)))
-
-    def compare(got, want):
-        diff = got - want[:, np.newaxis]
-        np.maximum(worst, [
-            np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
-            np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
-            np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
-            np.max(np.abs(np.trace(got, axis1=-2, axis2=-1) - trace0), axis=0),
-        ], out=worst)
-
-    ref = traj.samples[2::2]  # sample 2 i + 2 after step i
-    steps = _rk4_steps(rhs, rho0, 2 * traj.dt, range(len(ref)))
-    states = np.empty((_BLOCK // 2,) + rho0.shape, dtype=complex)
     # a deviation past the float range is returned as inf, for the caller to report
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, len(ref), len(states)):
-            want = ref[first : first + len(states)]
-            for j, rho in enumerate(islice(steps, len(want))):
-                states[j] = rho
-            compare(states[: len(want)], want)
-        if traj.n % 2 == 0:  # an odd interval count: one last step of dt
-            a, b = useq.u[-2], useq.u[-1]
-            w, _, vh = np.linalg.svd(a + b)
-            # from rho, the last 2 dt step's state; stage s reads rhs's index 2 i + s
-            start, block = 2 * len(ref), _lab_frame(lk, np.stack([a, w @ vh, b])) + lh
-            rho = next(_rk4_steps(rhs, rho, traj.dt, range(len(ref), len(ref) + 1)))
-            compare(rho[np.newaxis], traj.samples[-1:])
+        for first, step, block_u, want in blocks:
+            gen = _lab_frame(lk, block_u) + lh
+            got = np.stack(list(_rk4_steps(
+                lambda i, stage, x: (gen[2 * (i - first) + stage] @ x.reshape(-1, 16, 1)).reshape(x.shape),
+                rho, step, range(first, first + len(want)),
+            )))
+            rho, diff = got[-1], got - want[:, np.newaxis]
+            np.maximum(worst, [
+                np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
+                np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
+                np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
+                np.max(np.abs(np.trace(got, axis1=-2, axis2=-1) - trace0), axis=0),
+            ], out=worst)
     return RoundtripReport(*worst)

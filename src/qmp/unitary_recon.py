@@ -51,9 +51,10 @@ class EvolutionSequence:
             raise ValueError("u must have shape (n, d, d)")
         eye = np.eye(u.shape[1])
         worst = float(_joined(lambda x: np.abs(x @ dag(x) - eye).max(axis=(-2, -1)), u).max())
-        if worst > 1e-10:
+        # written so that a NaN, for which every comparison is false, fails
+        if not worst <= 1e-10:
             raise ValueError(f"sequence is not unitary (defect {worst:g})")
-        if np.max(np.abs(u[0] - eye)) > 1e-10:
+        if not np.max(np.abs(u[0] - eye)) <= 1e-10:
             raise ValueError("sequence must start at the identity")
         object.__setattr__(self, "u", u)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -591,6 +592,26 @@ def test_roundtrip_memory_does_not_grow_with_n():
 
     assert traced_peak(16 * _BLOCK) <= 1.02 * traced_peak(4 * _BLOCK)
     assert traced_peak(16 * _BLOCK + 1) <= 1.02 * traced_peak(4 * _BLOCK + 1)
+
+
+@pytest.mark.parametrize(
+    "intervals, bad, step",
+    [
+        (160, 2 * 40 + 1, 41),  # the midpoint of step 41, in the second block
+        (41, 41, 41 // 2 + 1),  # U_{n-1} of an odd count: the tail step of dt
+    ],
+    ids=["second-block", "odd-tail"],
+)
+def test_roundtrip_names_the_diverging_step(intervals, bad, step):
+    # roundtrip_verify reads only .u of the sequence, so a duck-typed one
+    # can hold the NaN that EvolutionSequence refuses
+    r = np.random.default_rng(intervals)
+    u = np.array([np.eye(4, dtype=complex)] * (intervals + 1))
+    u[bad, 1, 2] = np.nan
+    traj = Trajectory(0.0, 1.0 / intervals, np.broadcast_to(random_state(r), (intervals + 1, 4, 4)))
+    ks = [KossakowskiMatrix(0.01 * np.eye(15))] * 2
+    with pytest.raises(RuntimeError, match=f"in step {step}$"):
+        roundtrip_verify(traj, random_hermitian(r), ks, SimpleNamespace(u=u))
 
 
 def test_affine_generator_validation():

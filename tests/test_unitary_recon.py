@@ -226,6 +226,16 @@ def test_label_matcher_matches_linear_sum_assignment(stack):
             np.testing.assert_array_equal(perm, cols)
 
 
+@pytest.mark.parametrize("index", [0, 3])
+def test_evolution_sequence_rejects_nan(index):
+    # every comparison with NaN is false, so a check that a defect is
+    # above the tolerance would let it through
+    u = np.array([np.eye(4, dtype=complex)] * 5)
+    u[index, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        EvolutionSequence(0.0, 0.1, u)
+
+
 def test_continuation_rejects_dim_above_4():
     traj = Trajectory(0.0, 0.1, np.array([np.eye(8, dtype=complex) / 8] * 3))
     with pytest.raises(ValueError, match="dim 8"):
