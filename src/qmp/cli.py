@@ -16,10 +16,9 @@ t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
 written as compact JSON (no whitespace), streamed CHUNK samples at a
 time, so the whole text is never held in memory. They are read in any
 JSON layout: when samples is the last key and an array of [re, im]
-pairs of floats or integers (an integer in [-2^63, 2^64), the range
-numpy reads as a number), it is read flat, a few hundred kB of its text
-at a time; any other layout goes through json, with the same values,
-exit code and message. dim and n must be JSON integers and t0 and dt
+float pairs, it is read flat, a few hundred kB of its text at a time;
+any other layout goes through json, with the same values, exit code
+and message. dim and n must be JSON integers and t0 and dt
 JSON numbers, never true, false or a string. reconstruct master takes
 any t0, and a marginal pair's grids are compared relative to dt.
 Exit codes: 0 success, 2 validation failure (an invalid state, a
@@ -264,16 +263,12 @@ _SAMPLE_END = re.compile(b"\\][" + _JSON_SPACE + b"]*\\][" + _JSON_SPACE + b"]*,
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 _SKELETON = bytes(b if b in b"[]," else ord("v") for b in range(256))  # v: a byte of a value
 _PIECE = 1 << 18  # bytes of the samples array per check and per parse
-# the integers that np.asarray of nested lists of floats keeps as numbers
-# (int64 and uint64), each read as the float64 it converts to
-_INT_MIN, _INT_END = -(1 << 63), 1 << 64
 
 
 def _flat_samples(data: bytes, start: int, end: int):
     """The JSON array data[start:end + 1], from its [ to its ], as an
-    (a, m, 2) float array when it is a canonical array of [re, im] pairs
-    of numbers (floats, or integers in [-2^63, 2^64)) in any whitespace,
-    else None.
+    (a, m, 2) float array when it is a canonical array of [re, im] float
+    pairs in any whitespace, else None.
 
     The array is cut at the first ]], after every _PIECE bytes, so that
     each piece is a list of values once its brackets are spaces and, in
@@ -282,10 +277,8 @@ def _flat_samples(data: bytes, start: int, end: int):
     right after a ], so every value stands in a pair; (2) the [, ] and ,
     of each piece are those of k samples of m pairs, m set by the first
     ]]; (3) json.loads of each piece, its brackets turned into spaces,
-    gives a non-empty list of 2 m k floats and integers, each integer in
-    [-2^63, 2^64). Its values are then the float64 values np.asarray
-    gives of the nested lists json.loads would make: an integer out of
-    that range, which np.asarray keeps as an object, is left to json.
+    gives a non-empty list of 2 m k floats. Its floats are then the ones
+    json.loads would put in the nested lists.
     """
     cuts = [start]
     while cut := _SAMPLE_END.search(data, cuts[-1] + _PIECE, end):
@@ -311,10 +304,7 @@ def _flat_samples(data: bytes, start: int, end: int):
             values = json.loads(b"[" + data[piece].translate(_BRACKETS_TO_SPACES) + b"]")
         except ValueError:
             return None
-        kinds = set(map(type, values))
-        if len(values) != 2 * m * k or not kinds or not kinds <= {float, int}:
-            return None
-        if int in kinds and not all(_INT_MIN <= v < _INT_END for v in values if type(v) is int):
+        if len(values) != 2 * m * k or set(map(type, values)) != {float}:
             return None
         out[done:done + k].flat = values
         done += k

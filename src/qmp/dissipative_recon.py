@@ -436,9 +436,7 @@ def roundtrip_verify(
     ]
     if last < traj.n - 1:  # an odd interval count: one last step of dt
         a, b = useq.u[-2], useq.u[-1]
-        # a non-finite entry would stop the SVD, so it is made finite: the
-        # step then reads U_{n-1} itself and raises, naming the step
-        w, _, vh = np.linalg.svd(np.nan_to_num(a + b))
+        w, _, vh = np.linalg.svd(a + b)
         blocks.append((last // 2, traj.dt, np.stack([a, w @ vh, b]), traj.samples[-1:]))
     rho = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
     trace0 = np.trace(rho, axis1=-2, axis2=-1)

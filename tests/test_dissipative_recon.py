@@ -594,24 +594,29 @@ def test_roundtrip_memory_does_not_grow_with_n():
     assert traced_peak(16 * _BLOCK + 1) <= 1.02 * traced_peak(4 * _BLOCK + 1)
 
 
-@pytest.mark.parametrize(
-    "intervals, bad, step",
-    [
-        (160, 2 * 40 + 1, 41),  # the midpoint of step 41, in the second block
-        (41, 41, 41 // 2 + 1),  # U_{n-1} of an odd count: the tail step of dt
-    ],
-    ids=["second-block", "odd-tail"],
-)
-def test_roundtrip_names_the_diverging_step(intervals, bad, step):
-    # roundtrip_verify reads only .u of the sequence, so a duck-typed one
-    # can hold the NaN that EvolutionSequence refuses
-    r = np.random.default_rng(intervals)
-    u = np.array([np.eye(4, dtype=complex)] * (intervals + 1))
-    u[bad, 1, 2] = np.nan
-    traj = Trajectory(0.0, 1.0 / intervals, np.broadcast_to(random_state(r), (intervals + 1, 4, 4)))
+def test_roundtrip_names_the_diverging_step():
+    # a NaN at the midpoint of step 41, in the second block; roundtrip_verify
+    # reads only .u of the sequence, so a duck-typed one can hold the NaN
+    # that EvolutionSequence refuses
+    r = np.random.default_rng(160)
+    u = np.array([np.eye(4, dtype=complex)] * 161)
+    u[2 * 40 + 1, 1, 2] = np.nan
+    traj = Trajectory(0.0, 1.0 / 160, np.broadcast_to(random_state(r), (161, 4, 4)))
     ks = [KossakowskiMatrix(0.01 * np.eye(15))] * 2
-    with pytest.raises(RuntimeError, match=f"in step {step}$"):
+    with pytest.raises(RuntimeError, match="in step 41$"):
         roundtrip_verify(traj, random_hermitian(r), ks, SimpleNamespace(u=u))
+
+
+def test_roundtrip_names_its_tail_step():
+    # 3 intervals: one step of 2 dt, then the tail step of dt. At rate
+    # 1e50 the first step's states are finite (near 1e200, the RK4
+    # polynomial of the 2 dt step) and the tail's overflow, at any rate
+    # from 1e40 to 1e70
+    r = np.random.default_rng(3)
+    traj = Trajectory(0.0, 1.0 / 3, np.broadcast_to(random_state(r), (4, 4, 4)))
+    useq = EvolutionSequence(0.0, 1.0 / 3, np.array([np.eye(4, dtype=complex)] * 4))
+    with pytest.raises(RuntimeError, match="in step 2$"):
+        roundtrip_verify(traj, np.zeros((4, 4)), [KossakowskiMatrix(1e50 * np.eye(15))], useq)
 
 
 def test_affine_generator_validation():
