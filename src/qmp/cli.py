@@ -26,11 +26,11 @@ non-finite sample to be written, a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures, or a
 marginal pair given to check whose files are not both 2x2 trajectories
 or whose grids differ; nothing is written then), 3 no CP-valid
-candidate, or a round trip that reaches a non-finite state, named with
-its RK4 step, or a non-finite deviation from the samples, named with its
-candidates (the CP-valid candidates integrate as one stack, so one
-that diverges ends the round trip of all of them; report.json is not
-written), 4 parse error:
+candidate, or a round trip whose propagator W of H(t) reaches a
+non-finite value, named with its RK4 step (W is shared, so that ends
+the round trip of every candidate), or a non-finite deviation from the
+samples, named with its candidates (report.json is not written), 4
+parse error:
 unreadable JSON (undecodable bytes, invalid or too deeply nested JSON)
 or any schema violation (a missing or mistyped field, a true or false
 among the samples, a sample of the wrong shape, a non-finite number,
@@ -52,7 +52,8 @@ reconstruct master reports a list of candidate generators. A unitary
 trajectory has one, "unitary", the K = 0 candidate; otherwise they come
 from the diagonal unital fit. Every entry has the same fields (label,
 d_diag, k_diag, k_spectrum, cp_valid, min_k_eigenvalue) and each
-CP-valid one adds its roundtrip_deviation and roundtrip_marginals.
+CP-valid one adds its roundtrip_deviation and roundtrip_marginals; the
+report then ends with the run's propagator_defect, max ||W - U||.
 """
 
 from __future__ import annotations
@@ -487,17 +488,11 @@ def cmd_reconstruct_unitary(args) -> int:
 def cmd_reconstruct_master(args) -> int:
     traj = _joint_trajectory(args.file, "reconstruct")
     frame = ur.eigenframe_decompose(traj)
-    ham = ur.hamiltonian_from_evolution(frame.useq)
-    h_mean, defect = ham.trajectory.samples.mean(axis=0), ham.antihermitian_defect
-    _output_dir(args.out)
-    write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
-    del ham  # H(t) is not held through the fit and the round trip
-
     unit = kinematics.unitarity_test(traj, _UNITARY_TOL)
     doc = {
         "unitary": unit.passed,
         "trace_power_drift": {str(k): v for k, v in unit.drift.items()},
-        "antihermitian_defect": defect,
+        "antihermitian_defect": None,  # set with H(t), after the fit
         "candidates": [],
     }
     if unit.passed:
@@ -527,11 +522,17 @@ def cmd_reconstruct_master(args) -> int:
             # K is fitted in the eigenframe V(t) = U(t) V0, not in U(t)
             valid.append((entry, k.conjugated(frame.v0)))
         doc["candidates"].append(entry)
+    # H(t) only now, so that the fit's scratch and the H stack are never
+    # held together
+    ham = ur.hamiltonian_from_evolution(frame.useq)
+    doc["antihermitian_defect"] = ham.antihermitian_defect
+    _output_dir(args.out)
+    write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
     if valid:
-        # every CP-valid candidate integrates in one RK4 loop, so one that
-        # diverges stops the round trip of all of them
+        # every CP-valid candidate shares one RK4 propagator W of H(t), so a W
+        # that diverges stops the round trip of all of them
         try:
-            rt = dr.roundtrip_verify(traj, h_mean, [k for _, k in valid], frame.useq)
+            rt = dr.roundtrip_verify(traj, ham.trajectory.samples, [k for _, k in valid], frame.useq)
         except RuntimeError as exc:
             raise CliError(f"round trip: {exc}", EXIT_NO_CP)
         finite = np.isfinite([rt.max_deviation, rt.max_marginal_a, rt.max_marginal_b]).all(axis=0)
@@ -545,6 +546,7 @@ def cmd_reconstruct_master(args) -> int:
             entry["roundtrip_marginals"] = [
                 float(rt.max_marginal_a[j]), float(rt.max_marginal_b[j])
             ]
+        doc["propagator_defect"] = rt.propagator_defect
     write_report(os.path.join(args.out, "report.json"), doc)
     return EXIT_OK if valid else EXIT_NO_CP
 

@@ -9,13 +9,14 @@ and has one representation in this module: the 16x16 Liouvillian L_K
 acting on row-major vectorized operators, vec(X) = X.reshape(16), for
 which vec(A X B) = (A kron B^T) vec(X). ``KossakowskiMatrix.liouvillian``
 builds L_K once from K; the affine picture r_dot = D r + l on the
-15-component coherence vector and the round trip's generator are both
-products with that one matrix.
+15-component coherence vector and the round trip's propagator e^{t L_K}
+both come from that one matrix.
 
-The round trip's generator, Hamiltonian part included, is one lab-frame
-Liouvillian per grid time, L(t) = L_h + S(t) L_K S(t)^dag with
-S(t) = U(t) kron conj(U(t)) and L_h = -i (h kron I - I kron h^T), so
-that each RK4 stage is one (c, 16, 16) @ (c, 16, 1) product.
+The round trip works in the interaction picture of H(t). With W(t) the
+propagator of W_dot = -i H(t) W, W(t0) = I, the GKSL equation
+rho_dot = -i[H, rho] + W Diss_K[W^dag rho W] W^dag has the exact solution
+rho(t) = W(t) e^{(t - t0) L_K}[rho0] W(t)^dag, so only W is integrated
+(one 4x4 RK4 shared by every K) and each K costs one matrix exponential.
 
 For diagonal K the two pictures are linked by the anticommutation
 pattern of the basis: D_kk = -2 * sum over i with {G_i, G_k} = 0 of
@@ -39,11 +40,9 @@ from .bloch import pauli_basis, traceless_basis
 from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
-    _grids_differ,
     _require_hermitian,
     _rk4_steps,
     diff_series,
-    partial_trace,
     spectrum,
 )
 from .unitary_recon import EvolutionSequence
@@ -56,7 +55,6 @@ __all__ = [
     "IntegratedCpReport",
     "RoundtripReport",
     "hamiltonian_action",
-    "generator_residual",
     "anticommutation_table",
     "fit_diagonal_unital",
     "candidate_diagonals",
@@ -80,10 +78,6 @@ class AffineGenerator:
         object.__setattr__(self, "l", np.asarray(self.l, dtype=float).reshape(15))
         if not (np.all(np.isfinite(self.d)) and np.all(np.isfinite(self.l))):
             raise ValueError("generator entries must be finite")
-
-    @property
-    def unital(self) -> bool:
-        return bool(np.max(np.abs(self.l)) < 1e-12)
 
 
 @dataclass(frozen=True)
@@ -140,20 +134,6 @@ def hamiltonian_action(h: np.ndarray) -> np.ndarray:
     if skew > 1e-12 * max(1.0, float(np.abs(m).max())):
         raise ValueError(f"action matrix is not skew-symmetric (defect {skew:g})")
     return 0.5 * (m.real - m.real.T)
-
-
-def generator_residual(traj: Trajectory, hseq: Trajectory) -> Trajectory:
-    """Residual R(t) = rho_dot + i[H(t), rho(t)] of the Hamiltonian part.
-
-    Vanishes for closed dynamics; otherwise it is the dissipative action
-    on the state (traceless and Hermitian up to stencil error).
-    """
-    if _grids_differ(traj, hseq):
-        raise ValueError("trajectory grids differ")
-    rdot = diff_series(traj.samples, traj.dt)
-    comm = np.einsum("nij,njk->nik", hseq.samples, traj.samples)
-    comm = comm - np.einsum("nij,njk->nik", traj.samples, hseq.samples)
-    return Trajectory(traj.t0, traj.dt, rdot + 1j * comm)
 
 
 @lru_cache(maxsize=1)
@@ -370,91 +350,110 @@ def candidate_diagonals(fit: DiagonalFit):
     return out
 
 
-# grid times per block of lab-frame Liouvillians in roundtrip_verify: 64
-# (256 kB per candidate) ran as fast as 256 (1 MB per candidate), while
-# 1024 and 4096 were slower. A block is _BLOCK // 2 RK4 steps of 2 dt, which
-# read _BLOCK + 1 grid times, the last one shared with the next block; its
-# states are compared with the samples before the next block is built, so
-# the round trip's memory is set by one block, not by n.
-_BLOCK = 64
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a of one square matrix by scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)): the degree-18 Taylor polynomial,
+    in Horner form, of a / 2^s with s the least that brings its 1-norm
+    below 1, so the truncation is below 1/19! < 2^-53, squared s times.
+    It needs no eigenvectors, so a defective a is fine."""
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max())[1]))
+    x = a * 0.5**s
+    eye = np.eye(len(a))
+    out = eye
+    for k in range(18, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
-def _lab_frame(lk: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """S L_K S^dag for c Liouvillians (c, 16, 16) at each of m unitaries
-    (m, 4, 4), as an (m, c, 16, 16) stack: S = U kron conj(U), so that
-    vec(U X U^dag) = S vec(X) and S L_K S^dag vec(X) = vec(U Diss[U^dag X U] U^dag)."""
-    s = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 1, 16, 16)
-    return s @ lk @ s.conj().swapaxes(-1, -2)
+def _propagator(h: np.ndarray, dt: float):
+    """Yield W after each RK4 step of W_dot = -i H W from W = I, for H
+    sampled every dt as h (n, 4, 4): steps of 2 dt whose stage s of step i
+    reads h[2 i + s], then, on an odd interval count, one step of dt over
+    h[-2], (h[-2] + h[-1]) / 2 and h[-1]. A non-finite W raises
+    RuntimeError naming its step."""
+    pairs = (len(h) - 1) // 2
+    w = np.eye(4, dtype=complex)
+    for w in _rk4_steps(lambda i, s, x: -1j * (h[2 * i + s] @ x), w, 2 * dt, range(pairs)):
+        yield w
+    if len(h) % 2 == 0:
+        tail = (h[-2], 0.5 * (h[-2] + h[-1]), h[-1])
+        yield from _rk4_steps(lambda i, s, x: -1j * (tail[s] @ x), w, dt, [pairs])
+
+
+# RK4 steps per chunk of states compared with the samples. A chunk (W and,
+# per candidate, the frame and model states: about 1 kB per step) is the
+# round trip's only scratch, and it is kept below qcore._CHUNK because
+# reconstruct master holds the samples, U(t) and H(t) meanwhile: on a
+# 20001-sample example3 its peak RSS was 53 MB with 256 steps and 56.6 MB
+# with 1024.
+_STEPS = 256
 
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Length-c arrays, one value per Kossakowski matrix."""
+    """Length-c arrays, one value per Kossakowski matrix, and the run's
+    propagator_defect, the max spectral norm of W - U over the compared
+    samples."""
 
     max_deviation: np.ndarray
     max_marginal_a: np.ndarray
     max_marginal_b: np.ndarray
-    trace_drift: np.ndarray
+    propagator_defect: float
 
 
 def roundtrip_verify(
     traj: Trajectory, h: np.ndarray, ks, useq: EvolutionSequence
 ) -> RoundtripReport:
-    """Re-integrate -i[h, rho] + U Diss_Kj[U^dag rho U] U^dag from the
-    first sample for each of a sequence of c Kossakowski matrices
-    ``ks``, with U from ``useq`` on the trajectory's grid, and compare.
+    """Re-integrate -i[H, rho] + W Diss_Kj[W^dag rho W] W^dag from the first
+    sample for each of a sequence of c Kossakowski matrices ``ks``, and
+    compare with the samples.
 
-    The generator of state j, Hamiltonian part included, is one
-    lab-frame Liouvillian per grid time, L_j(t) = L_h + S(t) L_Kj S(t)^dag
-    (see the module docstring). All c run as one (c, 4, 4) stack, and each
-    RK4 stage is one (c, 16, 16) @ (c, 16, 1) product. The steps are 2 dt,
-    taken in blocks of _BLOCK // 2: a block builds the Liouvillians of its
-    _BLOCK + 1 grid times, sharing the first with the block before, and
-    stage s of step i reads U at sample 2 i + s, not at its time, so any
-    t0 works. An odd interval count ends with one more block, one step of
-    dt from sample n - 2 to n - 1 over three unitaries: U_{n-2}, the polar
-    factor of U_{n-2} + U_{n-1} at the midpoint (their geodesic midpoint
-    while ||log(U_{n-2}^dag U_{n-1})|| < pi), and U_{n-1}.
+    ``h`` is H(t) on the trajectory's grid, (n, 4, 4), or one 4x4 matrix
+    for all of it. W is its RK4 propagator (see _propagator): steps of
+    2 dt that read H by sample index, so any t0 works, and on an odd
+    interval count one last step of dt. The states are the exact
+    rho_j(t) = W(t) e^{(t - t0) L_Kj}[rho0] W(t)^dag, where the frame part
+    advances by e^{2 dt L_Kj} per step (e^{dt L_Kj} for the last step of
+    dt), from one _expm per candidate, so only W is approximate.
     Deviations are the max Frobenius distance of the joint state and the
     max absolute entry deviation of each marginal, over the states after
-    every step, compared with the samples one block at a time; only the
-    running maxima are kept, so no array grows with n. The stack stops
-    at the first step with a non-finite entry in any state, which raises
-    RuntimeError naming the step; a deviation of finite states past the
-    float range is returned as inf, with no warning.
+    every step; the propagator defect is the max spectral norm of W - U,
+    with U from ``useq``. States are compared _STEPS steps at a time and
+    only running maxima are kept, so no array grows with n. A non-finite W
+    raises RuntimeError naming its step; a candidate whose states leave
+    the float range gets an inf or NaN deviation, with no warning.
     """
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(4)
-    lh = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    lk = np.stack([k.liouvillian for k in ks])
-    last = 2 * ((traj.n - 1) // 2)  # the last sample a step of 2 dt reaches
-    u, ref = useq.u[: last + 1], traj.samples[: last + 1]
-    # (first step, step size, its 2 k + 1 unitaries, the k samples its steps reach)
-    blocks = [
-        (i // 2, 2 * traj.dt, u[i : i + _BLOCK + 1], ref[i + 2 : i + _BLOCK + 1 : 2])
-        for i in range(0, last, _BLOCK)
-    ]
-    if last < traj.n - 1:  # an odd interval count: one last step of dt
-        a, b = useq.u[-2], useq.u[-1]
-        w, _, vh = np.linalg.svd(a + b)
-        blocks.append((last // 2, traj.dt, np.stack([a, w @ vh, b]), traj.samples[-1:]))
-    rho = np.broadcast_to(traj.samples[0], (len(ks), 4, 4))
-    trace0 = np.trace(rho, axis1=-2, axis2=-1)
-    # rows: deviation, marginal A, marginal B, trace drift; sample 0 is rho0
-    worst = np.zeros((4, len(ks)))
-    # a deviation past the float range is returned as inf, for the caller to report
+    n = traj.n
+    h = np.broadcast_to(np.asarray(h, dtype=complex), (n, 4, 4))
+    # step k reaches sample 2 k, or, as the tail step of an odd count, n - 1
+    reached = range(2, n + 1, 2)
+    one = np.stack([_expm(traj.dt * k.liouvillian) for k in ks])
+    frame_step = (one @ one, one)  # by the parity of the sample a step reaches
+    x = np.broadcast_to(traj.samples[0].reshape(16, 1), (len(ks), 16, 1))
+    steps = _propagator(h, traj.dt)
+    # rows: deviation, marginal A, marginal B; sample 0 is rho0
+    worst = np.zeros((3, len(ks)))
+    defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, step, block_u, want in blocks:
-            gen = _lab_frame(lk, block_u) + lh
-            got = np.stack(list(_rk4_steps(
-                lambda i, stage, x: (gen[2 * (i - first) + stage] @ x.reshape(-1, 16, 1)).reshape(x.shape),
-                rho, step, range(first, first + len(want)),
-            )))
-            rho, diff = got[-1], got - want[:, np.newaxis]
+        for first in range(0, len(reached), _STEPS):
+            part = [min(i, n - 1) for i in reached[first : first + _STEPS]]
+            w = np.empty((len(part), 4, 4), dtype=complex)
+            frame = np.empty((len(part), len(ks), 16, 1), dtype=complex)
+            for k, (i, wk) in enumerate(zip(part, steps)):
+                w[k] = wk
+                x = frame[k] = frame_step[i % 2] @ x
+            defect = max(defect, float(np.linalg.norm(w - useq.u[part], 2, axis=(-2, -1)).max()))
+            w = w[:, np.newaxis]
+            diff = w @ frame.reshape(len(part), -1, 4, 4) @ w.conj().swapaxes(-1, -2)
+            diff -= traj.samples[part][:, np.newaxis]
+            # the marginals' deviations by index sums, not partial_trace, which
+            # refuses the non-finite states of a diverging candidate
+            qubits = diff.reshape(diff.shape[:2] + (2, 2, 2, 2))
             np.maximum(worst, [
                 np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=0),
-                np.max(np.abs(partial_trace(diff, "B")), axis=(0, -2, -1)),
-                np.max(np.abs(partial_trace(diff, "A")), axis=(0, -2, -1)),
-                np.max(np.abs(np.trace(got, axis1=-2, axis2=-1) - trace0), axis=0),
+                np.max(np.abs(np.einsum("tcikjk->tcij", qubits)), axis=(0, -2, -1)),
+                np.max(np.abs(np.einsum("tckikj->tcij", qubits)), axis=(0, -2, -1)),
             ], out=worst)
-    return RoundtripReport(*worst)
+    return RoundtripReport(*worst, defect)

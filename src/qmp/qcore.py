@@ -312,17 +312,6 @@ class IntegrationResult:
     samples: np.ndarray = field(repr=False)
     trace_drift: np.ndarray = field(repr=False)
 
-    @property
-    def trajectory(self) -> Trajectory:
-        """The samples of one integrated state as a Trajectory."""
-        if self.samples.ndim != 3:
-            raise ValueError("a stack of states has no single trajectory; use samples")
-        return Trajectory(self.t0, self.dt, self.samples)
-
-    @property
-    def max_trace_drift(self):
-        return _per_matrix(np.max(self.trace_drift, axis=0))
-
 
 def _rk4_steps(generator, rho, dt: float, steps):
     """Yield the classic RK4 state after each step index i of ``steps``

@@ -6,8 +6,8 @@ over the Kossakowski matrix or the Pauli basis, one trace per generator
 instead of one einsum for the coherence vector, eigenvalue tests
 instead of Cholesky pivots, one RK4 loop per state instead of one over
 a stack, a phase fix per eigenvector and an SVD per degenerate block
-instead of one masked polar factor per step, a matrix square root
-instead of an SVD for the geodesic midpoint of U,
+instead of one masked polar factor per step, scipy's expm of the
+per-term superoperator instead of the package's scaling and squaring,
 np.gradient instead of the package's difference stencil, nested lists
 through json instead of streamed %-templates and a flat read of the
 samples array) so that agreement between the two is meaningful.
@@ -20,7 +20,7 @@ which both readers share.
 import json
 
 import numpy as np
-from scipy.linalg import sqrtm
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from qmp.bloch import traceless_basis
@@ -58,26 +58,31 @@ def coherence_vector(rho):
     return np.array([np.trace(rho @ g).real for g in traceless_basis()])
 
 
-def stride_rule_states(generator, u, rho0, t0, dt):
-    """States of the master round trip's RK4 rule from rho0, rho0 first,
-    on the (n, d, d) samples u of U taken every dt from t0: steps of
-    2 dt that read U at the samples, then, on an odd interval count, one
-    step of dt from sample n - 2 to n - 1 whose midpoint is the geodesic
-    midpoint U_{n-2} (U_{n-2}^dag U_{n-1})^{1/2}, by one principal square
-    root. generator(v, rho) is the generator at the unitary v."""
-    pairs = (len(u) - 1) // 2
-    states, _ = rk4_per_state(
-        lambda t, rho: generator(u[round((t - t0) / dt)], rho), rho0, t0, 2 * dt, pairs
+def interaction_picture_states(h, km, rho0, dt):
+    """States of the master round trip from rho0, rho0 first, for H sampled
+    every dt as h (n, 4, 4) and one Kossakowski matrix km, with the
+    propagators W they use.
+
+    W follows the round trip's RK4 stride rule, one rk4_per_state run per
+    stride: steps of 2 dt that read h at the samples, then, on an odd
+    interval count, one step of dt from sample n - 2 to n - 1 whose
+    midpoint is the mean of the last two samples. The states are
+    W expm(t S)[rho0] W^dag at the samples the steps reach, with S the
+    dissipator_superoperator of km and t the time from the first sample.
+    """
+    pairs = (len(h) - 1) // 2
+    ws, _ = rk4_per_state(
+        lambda t, w: -1j * h[round(t / dt)] @ w, np.eye(4, dtype=complex), 0.0, 2 * dt, pairs
     )
-    if len(u) % 2 == 1:
-        return states
-    a, b = u[-2], u[-1]
-    tail = [a, a @ sqrtm(a.conj().T @ b), b]
-    t1 = t0 + 2 * pairs * dt
-    last, _ = rk4_per_state(
-        lambda t, rho: generator(tail[round(2 * (t - t1) / dt)], rho), states[-1], t1, dt, 1
-    )
-    return np.concatenate([states, last[1:]])
+    times = 2 * dt * np.arange(pairs + 1)
+    if len(h) % 2 == 0:
+        tail = [h[-2], 0.5 * (h[-2] + h[-1]), h[-1]]
+        last, _ = rk4_per_state(lambda t, w: -1j * tail[round(2 * t / dt)] @ w, ws[-1], 0.0, dt, 1)
+        ws = np.concatenate([ws, last[1:]])
+        times = np.append(times, (len(h) - 1) * dt)
+    s = dissipator_superoperator(km)
+    frame = [(expm(t * s) @ np.reshape(rho0, 16)).reshape(4, 4) for t in times]
+    return np.array([w @ f @ w.conj().T for w, f in zip(ws, frame)]), ws
 
 
 def dissipator_per_term(km, x):

@@ -639,38 +639,82 @@ class TestReconstructCommands:
             for c in valid:
                 assert c["roundtrip_deviation"] < 1e-6, (steps, c["label"])
 
-    # the states pass 1e154 some blocks before they overflow, and numpy's
-    # norm warns that the deviations of those blocks overflow
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_master_round_trip_overflow_exits_3(self, tmp_path, capsys):
-        # at gamma dt = 15 the fitted rates make the 2 dt RK4 step unstable,
-        # and the states overflow in the 2211th step, so 4422 intervals is
-        # the smallest grid that reaches it (4421 and 4423 step 2 dt too:
-        # 4421 stops one step short, and its last step of dt stays finite)
+    @pytest.mark.parametrize("t_max, steps", [(22.11, 4422), (22.1, 4420)])
+    def test_master_at_gamma_3000_stays_finite(self, tmp_path, capsys, t_max, steps):
+        # gamma dt = 15: the fitted rates made the lab-frame RK4 of the states
+        # overflow on these grids, but e^{t L_K} of a CP-valid K is a
+        # contraction, and only W, the RK4 propagator of H(t), is integrated
         out = tmp_path / "ex3"
-        run("scenario", "example3", "--gamma", 3000, "--t-max", 22.11, "--steps", 4422, "--out", out)
+        run("scenario", "example3", "--gamma", 3000, "--t-max", t_max, "--steps", steps, "--out", out)
+        capsys.readouterr()
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads((rec / "report.json").read_text())
+        valid = [c for c in doc["candidates"] if c["cp_valid"]]
+        assert [c["label"] for c in valid] == ["single:4", "single:7", "single:8", "single:11"]
+        for c in valid:
+            assert np.isfinite([c["roundtrip_deviation"], *c["roundtrip_marginals"]]).all()
+        assert np.isfinite(doc["propagator_defect"])
+
+    def test_master_round_trip_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a W that diverges stops the round trip of every candidate
+        def diverging(*args):
+            raise RuntimeError("integration produced non-finite values in step 7")
+
+        monkeypatch.setattr(dr, "roundtrip_verify", diverging)
+        out = tmp_path / "ex3"
+        run("scenario", "example3", "--t-max", 2, "--steps", 40, "--out", out)
         capsys.readouterr()
         rec = tmp_path / "master"
         assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_NO_CP
-        err = capsys.readouterr().err
-        assert err == "error: round trip: integration produced non-finite values in step 2211\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: round trip: integration produced non-finite values in step 7\n"
         assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
 
-    def test_master_round_trip_deviation_overflow_exits_3(self, tmp_path, capsys):
-        # two steps short of the grid above, every state stays finite, but
-        # the last ones pass 1e154, where the Frobenius norm overflows
+    def test_master_round_trip_deviation_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a candidate whose states leave the float range gets a non-finite
+        # deviation, which report.json cannot hold
+        real = dr.roundtrip_verify
+
+        def overflowing(*args):
+            rt = real(*args)
+            rt.max_deviation[1] = np.inf
+            rt.max_marginal_a[3] = np.nan
+            return rt
+
+        monkeypatch.setattr(dr, "roundtrip_verify", overflowing)
         out = tmp_path / "ex3"
-        run("scenario", "example3", "--gamma", 3000, "--t-max", 22.1, "--steps", 4420, "--out", out)
+        run("scenario", "example3", "--t-max", 2, "--steps", 40, "--out", out)
         capsys.readouterr()
         rec = tmp_path / "master"
         assert run("reconstruct", "master", out / "joint.json", "--out", rec) == EXIT_NO_CP
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: round trip: the deviation of single:4, single:7, single:8, single:11"
-            " from the samples is not finite\n"
+            "error: round trip: the deviation of single:7, single:11 from the samples is not finite\n"
         )
         assert (rec / "hamiltonian.json").exists() and not (rec / "report.json").exists()
+
+    def test_master_follows_a_time_dependent_h(self, tmp_path):
+        # example1 with marginal A turned by exp(-i 0.35 t sigma_1): H(t) is
+        # no longer constant, and the round trip integrates it, not its mean
+        out = tmp_path / "ex1"
+        run("scenario", "example1", "--J", 1, "--t-max", 4, "--steps", 2000, "--out", out)
+        traj = load_trajectory(str(out / "joint.json"))
+        th = 0.35 * traj.times[:, np.newaxis, np.newaxis]
+        f = np.cos(th) * np.eye(2) - 1j * np.sin(th) * np.array([[0, 1], [1, 0]])
+        turn = np.einsum("nab,cd->nacbd", f, np.eye(2)).reshape(-1, 4, 4)
+        turned = turn @ traj.samples @ turn.conj().swapaxes(1, 2)
+        write_trajectory(str(tmp_path / "turned.json"), Trajectory(traj.t0, traj.dt, turned))
+        rec = tmp_path / "master"
+        assert run("reconstruct", "master", tmp_path / "turned.json", "--out", rec) == EXIT_OK
+        doc = json.loads((rec / "report.json").read_text())
+        (entry,) = doc["candidates"]
+        assert entry["label"] == "unitary"
+        assert entry["roundtrip_deviation"] < 1e-5
+        assert doc["propagator_defect"] < 1e-5
 
     def test_report_refuses_non_finite_values(self, tmp_path):
         path = tmp_path / "report.json"
@@ -703,14 +747,11 @@ def test_loader_holds_only_the_file_and_the_samples(tmp_path):
         assert _traced_peak(load_trajectory, str(path)) <= bound, n
 
 
-def test_reconstruct_master_memory_does_not_grow_past_its_stacks(tmp_path, monkeypatch, capsys):
-    # past a scratch set by the chunk and block sizes, reconstruct master
-    # holds per sample the sample, U(t) and H(t) (until hamiltonian.json
-    # is written), 256 bytes each, and the 4 eigenvalue branches, 32 bytes.
-    # Small Liouvillian blocks keep the round trip's own fixed scratch,
-    # whose bound test_dissipative_recon checks, from hiding the rest.
-    monkeypatch.setattr(dr, "_BLOCK", 16)
-
+def test_reconstruct_master_memory_does_not_grow_past_its_stacks(tmp_path, capsys):
+    # past a scratch set by the chunk sizes, reconstruct master holds per
+    # sample the sample, U(t) and H(t), 256 bytes each, and the 4 eigenvalue
+    # branches, 32 bytes; the round trip's own scratch is one chunk of
+    # dissipative_recon._STEPS steps, whose bound test_dissipative_recon checks
     def excess(n):
         path = tmp_path / f"{n}.json"
         write_trajectory(str(path), scenario_example3(2.0, 0.2).joint(0.0, 10.0 / (n - 1), n))

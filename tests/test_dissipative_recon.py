@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,17 +12,13 @@ from scipy.optimize import nnls
 from qmp.bloch import traceless_basis
 from qmp.kinematics import scenario_example1, scenario_example3
 from qmp.qcore import Trajectory, rk4_integrate
-from qmp.unitary_recon import (
-    EvolutionSequence,
-    eigenframe_decompose,
-    hamiltonian_from_evolution,
-    reconstruct_evolution,
-)
+from qmp.unitary_recon import EvolutionSequence, eigenframe_decompose, reconstruct_evolution
+from qmp import dissipative_recon
 from qmp.dissipative_recon import (
-    _BLOCK,
     _DIAGONAL_COHERENCE,
+    _STEPS,
     _cumulative_trapezoid,
-    _lab_frame,
+    _expm,
     _nnls,
     AffineGenerator,
     KossakowskiMatrix,
@@ -32,7 +27,6 @@ from qmp.dissipative_recon import (
     cp_check,
     d_from_k,
     fit_diagonal_unital,
-    generator_residual,
     hamiltonian_action,
     integrated_cp_check,
     k_from_d,
@@ -45,10 +39,10 @@ from _oracles import (
     diagonal_rate_misfit,
     dissipator_per_term,
     dissipator_superoperator,
+    interaction_picture_states,
     random_hermitian,
     random_state,
     rk4_per_state,
-    stride_rule_states,
 )
 
 rng = np.random.default_rng(2718)
@@ -104,37 +98,6 @@ class TestHamiltonianAction:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hamiltonian_action(np.triu(np.ones((4, 4))))
-
-
-class TestGeneratorResidual:
-    def test_vanishes_for_closed_dynamics(self):
-        traj = scenario_example1(2.0).joint(0.0, 1e-3, 500)
-        from qmp.unitary_recon import reconstruct_evolution
-
-        ham = hamiltonian_from_evolution(reconstruct_evolution(traj))
-        res = generator_residual(traj, ham.trajectory)
-        assert np.max(np.abs(res.samples[1:-1])) < 1e-6
-
-    def test_dissipative_residual_properties(self):
-        j, gamma = 2.0, 0.2
-        traj = scenario_example3(j, gamma).joint(0.0, 1e-3, 500)
-        g = traceless_basis()
-        h = (3 * j / 8) * (g[4] - g[9])  # s1s1 - s2s2
-        hseq = Trajectory(0.0, 1e-3, np.array([h] * 500))
-        res = generator_residual(traj, hseq)
-        assert np.max(np.abs(res.samples)) > 1e-3  # genuinely non-unitary
-        for r in res.samples[1:-1:100]:
-            assert abs(np.trace(r)) < 1e-8
-            np.testing.assert_allclose(r, r.conj().T, atol=1e-8)
-
-    def test_vanishes_without_damping(self):
-        j = 2.0
-        traj = scenario_example3(j, 0.0).joint(0.0, 1e-3, 500)
-        g = traceless_basis()
-        h = (3 * j / 8) * (g[4] - g[9])
-        res = generator_residual(traj, Trajectory(0.0, 1e-3, np.array([h] * 500)))
-        # bounded by the O(dt^2) stencil error of the time derivative
-        assert np.max(np.abs(res.samples[1:-1])) < 1e-5
 
 
 class TestAnticommutation:
@@ -214,7 +177,7 @@ class TestKossakowskiMaps:
         k = k_from_d(d)
         gen = d_from_k(k)
         np.testing.assert_allclose(np.diag(gen.d), d, atol=1e-10)
-        assert gen.unital
+        assert np.abs(gen.l).max() < 1e-12
 
     def test_d_from_k_linear(self):
         k1 = random_hermitian(rng, 15)
@@ -270,7 +233,7 @@ class TestGksl:
         km = KossakowskiMatrix(random_hermitian(rng, 15))
         out = dissipate(km, np.eye(4, dtype=complex) / 4)
         gen = d_from_k(km)
-        if gen.unital:
+        if np.abs(gen.l).max() < 1e-12:
             np.testing.assert_allclose(out, 0, atol=1e-12)
 
     def test_psd_k_preserves_positivity(self):
@@ -283,7 +246,7 @@ class TestGksl:
 
         for _ in range(5):
             res = rk4_integrate(rhs, random_state(rng), 0.0, 1e-2, 300)
-            w = np.linalg.eigvalsh(res.trajectory.samples[-1])
+            w = np.linalg.eigvalsh(res.samples[-1])
             assert w[0] >= -1e-6
 
 
@@ -377,24 +340,45 @@ class TestCandidates:
         np.testing.assert_allclose(d_full, 0, atol=1e-12)
 
 
+def amplitude_damping_k(gamma=GAMMA):
+    """K of the one jump sigma^- (x) I = sum_i c_i G_i at rate gamma:
+    K_ij = gamma c_i conj(c_j)."""
+    low = np.kron([[0, 1], [0, 0]], np.eye(2))
+    c = np.einsum("kab,ba->k", traceless_basis(), low) / 4.0
+    return KossakowskiMatrix(gamma * np.outer(c, c.conj()))
+
+
+class TestExpm:
+    def test_defective_jordan_block(self):
+        # lambda I + N with N the shift has one eigenvector, so no
+        # eigendecomposition gives e^a; the larger scale takes squarings
+        for scale in (1.0, 20.0):
+            a = scale * ((-0.7 + 2.0j) * np.eye(6) + 3.0 * np.eye(6, k=1))
+            want = expm(a)
+            assert np.abs(_expm(a) - want).max() <= 1e-12 * np.abs(want).max(), scale
+
+    def test_amplitude_damping_liouvillian(self):
+        k = amplitude_damping_k()
+        lk, s = k.liouvillian, dissipator_superoperator(k.k)
+        for t in (1e-3, 1.0, 50.0):
+            np.testing.assert_allclose(_expm(t * lk), expm(t * s), rtol=0, atol=1e-13)
+
+
 class TestRotateAndRoundtrip:
     def test_identity_sequence_is_direct_application(self):
-        lk = k_from_d(choice2_rates()).liouvillian
-        lab = _lab_frame(lk[np.newaxis], np.array([np.eye(4, dtype=complex)] * 5))
-        assert lab.shape == (5, 1, 16, 16)
-        np.testing.assert_allclose(lab[:, 0], np.broadcast_to(lk, (5, 16, 16)), atol=1e-13)
-
-    def test_rotated_dissipator_matches_residual(self):
-        j, dt = 2.0, 5e-4
-        traj = scenario_example3(j, GAMMA).joint(0.0, dt, 2001)
-        frame = eigenframe_decompose(traj)
-        g = traceless_basis()
-        h = (3 * j / 8) * (g[4] - g[9])
-        res = generator_residual(traj, Trajectory(0.0, dt, np.array([h] * 2001)))
-        idx = np.arange(1, 2000, 53)
-        lab = _lab_frame(k_from_d(choice2_rates()).liouvillian[np.newaxis], frame.useq.u[idx])
-        diss = (lab[:, 0] @ traj.samples[idx].reshape(-1, 16, 1)).reshape(-1, 4, 4)
-        assert np.max(np.abs(diss - res.samples[idx])) < 1e-6
+        # H = 0 makes W = I exactly, so the round trip applies e^{t L_K}
+        # directly: for choice 2, the bit flip (gamma / 2)(X rho X - rho) on
+        # A, rho(t) = rho0 + (1 - e^{-gamma t}) / 2 (X rho0 X - rho0) at any
+        # step, on even and odd interval counts
+        x = np.kron([[0, 1], [1, 0]], np.eye(2))
+        rho0 = random_state(rng)
+        for n in (8, 9):
+            t = 0.5 * np.arange(n)[:, np.newaxis, np.newaxis]
+            traj = Trajectory(0.0, 0.5, rho0 + 0.5 * (1 - np.exp(-GAMMA * t)) * (x @ rho0 @ x - rho0))
+            useq = EvolutionSequence(0.0, 0.5, np.broadcast_to(np.eye(4), (n, 4, 4)))
+            rep = roundtrip_verify(traj, np.zeros((4, 4)), [k_from_d(choice2_rates())], useq)
+            assert rep.max_deviation[0] < 1e-14, n
+            assert rep.propagator_defect == 0.0
 
     def test_unitary_roundtrip(self):
         j = 2.0
@@ -427,14 +411,19 @@ class TestRotateAndRoundtrip:
         assert rep.max_deviation[0] < 1e-4
 
 
+def random_unitaries(r, n):
+    """n unitaries on a grid, the identity first and random ones after."""
+    z = r.normal(size=(n - 1, 4, 4)) + 1j * r.normal(size=(n - 1, 4, 4))
+    return np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]])
+
+
 @settings(deadline=None, max_examples=40)
 @given(c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stacked_rk4_matches_per_state_oracle(c, seed):
     r = np.random.default_rng(seed)
     dt, n_steps = 0.02, 8
     # U on the half-spaced grid, so that the RK4 midpoints are samples
-    z = r.normal(size=(2 * n_steps, 4, 4)) + 1j * r.normal(size=(2 * n_steps, 4, 4))
-    u = np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]])
+    u = random_unitaries(r, 2 * n_steps + 1)
     useq = EvolutionSequence(0.0, dt / 2, u)
     hs = np.array([random_hermitian(r) for _ in range(c)])
     a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
@@ -442,10 +431,12 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
     # any matrices: non-Hermitian, with unequal traces, so that every
     # state has its own trace and Hermiticity drift
     rho0 = r.normal(size=(c, 4, 4)) + 1j * r.normal(size=(c, 4, 4))
-    # the generator of state j at grid time i: -i[h_j, .] + U_i Diss_Kj[U_i^dag . U_i] U_i^dag
+    # the generator of state j at grid time i: -i[h_j, .] + U_i Diss_Kj[U_i^dag . U_i] U_i^dag,
+    # through vec(U X U^dag) = S vec(X) with S = U kron conj(U)
     eye = np.eye(4)
     lh = -1j * (np.kron(hs, eye) - np.kron(eye, hs.swapaxes(1, 2)))
-    gen = _lab_frame(np.stack([k.liouvillian for k in ks]), useq.u) + lh
+    s = np.einsum("nab,ncd->nacbd", u, u.conj()).reshape(-1, 1, 16, 16)
+    gen = s @ np.stack([k.liouvillian for k in ks]) @ s.conj().swapaxes(-1, -2) + lh
 
     def at(t):  # the index of time t on the grid of useq
         return int(round(2 * t / dt))
@@ -458,172 +449,172 @@ def test_stacked_rk4_matches_per_state_oracle(c, seed):
 
     res = rk4_integrate(stacked, rho0, 0.0, dt, n_steps)
     assert res.samples.shape == (n_steps + 1, c, 4, 4)
-    assert np.shape(res.max_trace_drift) == (c,)
+    assert res.trace_drift.shape == (n_steps + 1, c)
     for j in range(c):
         samples, trace_drift = rk4_per_state(single(j), rho0[j], 0.0, dt, n_steps)
         np.testing.assert_allclose(res.samples[:, j], samples, rtol=0, atol=1e-14)
         np.testing.assert_allclose(res.trace_drift[:, j], trace_drift, rtol=0, atol=1e-14)
-        assert res.max_trace_drift[j] == pytest.approx(trace_drift.max(), rel=0, abs=1e-14)
+        assert res.trace_drift.max(axis=0)[j] == pytest.approx(trace_drift.max(), rel=0, abs=1e-14)
 
     traj = Trajectory(0.0, dt / 2, np.array([random_state(r) for _ in range(2 * n_steps + 1)]))
-    # 2 n_steps intervals: roundtrip_verify steps dt, with midpoints on useq
+    # the candidates share one W, so each gets the values of its own run
     rep = roundtrip_verify(traj, hs[0], ks, useq)
     for j in range(c):
         one = roundtrip_verify(traj, hs[0], [ks[j]], useq)
-        for name in ("max_deviation", "max_marginal_a", "max_marginal_b", "trace_drift"):
+        for name in ("max_deviation", "max_marginal_a", "max_marginal_b"):
             assert np.shape(getattr(rep, name)) == (c,)
             assert getattr(rep, name)[j] == pytest.approx(getattr(one, name)[0], rel=0, abs=1e-14)
+        assert rep.propagator_defect == one.propagator_defect
 
 
-def _per_term_matrix(km):
-    """16x16 matrix of dissipator_per_term on row-major vectorized X, one
-    column per unit matrix: no Kronecker identity, which S(t) relies on."""
-    units = np.eye(16).reshape(16, 4, 4)
-    return np.array([dissipator_per_term(km, e).reshape(16) for e in units]).T
-
-
-def _lab_frame_oracle(h, km):
-    """-i[h, rho] + V Diss_K[V^dag rho V] V^dag at a unitary V, in 4x4 products."""
-    dmat = _per_term_matrix(km)
-
-    def rhs(v, rho):
-        inner = (dmat @ (v.conj().T @ rho @ v).reshape(16)).reshape(4, 4)
-        return -1j * (h @ rho - rho @ h) + v @ inner @ v.conj().T
-
-    return rhs
-
-
-# RK4 steps per block of states that roundtrip_verify compares with the samples
-_STEPS = _BLOCK // 2
-
-
-@settings(deadline=None, max_examples=20)
-@given(
-    c=st.integers(1, 4),
-    odd=st.booleans(),
-    steps=st.one_of(
-        st.sampled_from([_STEPS - 1, _STEPS, _STEPS + 1, 2 * _STEPS - 1, 2 * _STEPS, 2 * _STEPS + 1]),
-        st.integers(1, 3 * _STEPS),
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(c=4, odd=False, steps=_STEPS, seed=0)  # exactly one comparison block
-@example(c=4, odd=True, steps=_STEPS, seed=4)  # one full block, then the tail step
-@example(c=3, odd=True, steps=_STEPS + 1, seed=1)  # one step more
-@example(c=2, odd=True, steps=_STEPS - 1, seed=2)  # one step less
-@example(c=1, odd=False, steps=1, seed=3)  # fewer steps than a block: 3 samples
-@example(c=2, odd=True, steps=1, seed=5)  # one 2 dt step and the tail: 4 samples
-def test_roundtrip_matches_lab_frame_oracle(c, odd, steps, seed):
+@settings(deadline=None, max_examples=25)
+@given(c=st.integers(1, 3), intervals=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@example(c=1, intervals=2, seed=0)  # 3 samples: one step of 2 dt
+@example(c=2, intervals=3, seed=1)  # one step of 2 dt, then the tail step of dt
+@example(c=3, intervals=40, seed=2)
+@example(c=3, intervals=39, seed=3)
+def test_roundtrip_matches_interaction_picture_oracle(c, intervals, seed):
+    # H(t) = H0 + sin(omega t) H1 and PSD K: the states are
+    # W e^{t L_K}[rho0] W^dag, W from the stride rule's RK4 of H's samples
     r = np.random.default_rng(seed)
-    # steps of 2 dt read U at 2 * steps + 1 samples, up to three blocks of
-    # lab-frame Liouvillians; an odd interval count adds one step of dt
-    intervals = 2 * steps + odd
-    t0, dt = r.uniform(-1.0, 1.0), 1.0 / intervals
-    z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
-    useq = EvolutionSequence(t0, dt, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
-    h = random_hermitian(r)
+    t0, dt = r.uniform(-1.0, 1.0), r.uniform(0.01, 0.1)
+    h0, h1, omega = random_hermitian(r), random_hermitian(r), r.uniform(0.5, 5.0)
+    h = h0 + np.sin(omega * (t0 + dt * np.arange(intervals + 1)))[:, None, None] * h1
     a = r.normal(size=(c, 15, 15)) + 1j * r.normal(size=(c, 15, 15))
-    kms = 0.01 * a @ a.conj().swapaxes(1, 2)
+    kms = 0.05 * a @ a.conj().swapaxes(1, 2)
+    useq = EvolutionSequence(t0, dt, random_unitaries(r, intervals + 1))
     rho0 = random_state(r)
     # a constant trajectory, so that the deviation is the excursion from rho0
     traj = Trajectory(t0, dt, np.broadcast_to(rho0, (intervals + 1, 4, 4)))
     rep = roundtrip_verify(traj, h, [KossakowskiMatrix(km) for km in kms], useq)
+    reached = list(range(2, intervals + 1, 2)) + ([intervals] if intervals % 2 else [])
     for j, km in enumerate(kms):
-        samples = stride_rule_states(_lab_frame_oracle(h, km), useq.u, rho0, t0, dt)
-        assert len(samples) == steps + odd + 1
-        diff = (samples - rho0).reshape(-1, 2, 2, 2, 2)
+        states, ws = interaction_picture_states(h, km, rho0, dt)
+        assert len(states) == len(reached) + 1
+        diff = (states[1:] - rho0).reshape(-1, 2, 2, 2, 2)
         assert rep.max_deviation[j] == pytest.approx(
-            np.linalg.norm(diff.reshape(-1, 16), axis=1).max(), rel=1e-12
+            np.linalg.norm(diff.reshape(-1, 16), axis=1).max(), rel=1e-10
         )
         assert rep.max_marginal_a[j] == pytest.approx(
-            np.abs(np.einsum("tabcb->tac", diff)).max(), rel=1e-12
+            np.abs(np.einsum("tabcb->tac", diff)).max(), rel=1e-10
         )
         assert rep.max_marginal_b[j] == pytest.approx(
-            np.abs(np.einsum("tabad->tbd", diff)).max(), rel=1e-12
+            np.abs(np.einsum("tabad->tbd", diff)).max(), rel=1e-10
         )
+    defect = np.linalg.norm(ws[1:] - useq.u[reached], 2, axis=(1, 2)).max()
+    assert rep.propagator_defect == pytest.approx(defect, rel=1e-10)
 
 
 @pytest.mark.parametrize("intervals", [3, 7])
-def test_tail_midpoint_is_geodesic_midpoint(intervals):
-    # for U(t) = exp(-iHt) the geodesic midpoint of the last two samples is
-    # U(t_{n-2} + dt/2), as long as the step turns every phase by less than
-    # pi, so the round trip must meet samples made by RK4 with the exact U(t)
+def test_tail_midpoint_is_mean_of_last_two_samples(intervals):
+    # for H(t) linear in t, the mean of the last two samples is H at the
+    # tail step's midpoint, so the round trip must meet samples made by RK4
+    # of H(t) itself and by scipy's e^{t L_K}
     r = np.random.default_rng(intervals)
-    hu = random_hermitian(r)
-    t0, dt = 0.3, 0.5 / np.max(np.abs(np.linalg.eigvalsh(hu)))
-    u = np.array([expm(-1j * hu * i * dt) for i in range(intervals + 1)])
-    useq = EvolutionSequence(t0, dt, u)
-    h, a = random_hermitian(r), r.normal(size=(15, 15)) + 1j * r.normal(size=(15, 15))
-    km = KossakowskiMatrix(0.01 * a @ a.conj().T)
-    gen = _lab_frame_oracle(h, km.k)
+    h0, h1 = random_hermitian(r), random_hermitian(r)
+    t0, dt = 0.3, 0.05
 
-    def exact(rho, t, step, n):
-        return rk4_per_state(lambda s, x: gen(expm(-1j * hu * (s - t0)), x), rho, t, step, n)[0]
+    def h_at(t):
+        return h0 + (t - t0) * h1
 
-    states = exact(random_state(r), t0, 2 * dt, intervals // 2)
-    tail = exact(states[-1], t0 + (intervals - 1) * dt, dt, 1)[-1]
+    def w_from(w, t, step, n):
+        return rk4_per_state(lambda s, x: -1j * h_at(s) @ x, w, t, step, n)[0]
+
+    a = r.normal(size=(15, 15)) + 1j * r.normal(size=(15, 15))
+    km = 0.01 * a @ a.conj().T
+    rho0 = random_state(r)
+
+    def model(w, t):
+        frame = expm((t - t0) * dissipator_superoperator(km)) @ rho0.reshape(16)
+        return w @ frame.reshape(4, 4) @ w.conj().T
+
+    ws = w_from(np.eye(4, dtype=complex), t0, 2 * dt, intervals // 2)
+    tail = w_from(ws[-1], t0 + (intervals - 1) * dt, dt, 1)[-1]
     samples = np.empty((intervals + 1, 4, 4), dtype=complex)
     # the odd samples before the last one are not compared
-    samples[::2], samples[1::2], samples[-1] = states, states[0], tail
-    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [km], useq)
+    samples[::2] = [model(w, t0 + 2 * i * dt) for i, w in enumerate(ws)]
+    samples[1::2] = rho0
+    samples[-1] = model(tail, t0 + intervals * dt)
+    h = np.array([h_at(t0 + i * dt) for i in range(intervals + 1)])
+    useq = EvolutionSequence(t0, dt, np.broadcast_to(np.eye(4), (intervals + 1, 4, 4)))
+    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [KossakowskiMatrix(km)], useq)
     assert rep.max_deviation[0] < 1e-13
     # the tail step's state is compared with the last sample
-    samples[-1] = states[-1]
-    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [km], useq)
-    assert rep.max_deviation[0] == pytest.approx(np.linalg.norm(tail - states[-1]), rel=1e-9)
+    samples[-1] = samples[-2 if intervals % 2 == 0 else -3]
+    rep = roundtrip_verify(Trajectory(t0, dt, samples), h, [KossakowskiMatrix(km)], useq)
+    want = np.linalg.norm(model(tail, t0 + intervals * dt) - samples[-1])
+    assert rep.max_deviation[0] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("intervals", [2, 3, 5, 6, 7, 12, 13])
+def test_chunks_give_the_values_of_one_chunk(monkeypatch, steps, intervals):
+    # _STEPS steps at a time, at sizes that split the steps and the tail step
+    # over chunks in every way
+    r = np.random.default_rng(100 * steps + intervals)
+    h = np.array([random_hermitian(r) for _ in range(intervals + 1)])
+    a = r.normal(size=(2, 15, 15)) + 1j * r.normal(size=(2, 15, 15))
+    ks = [KossakowskiMatrix(0.05 * aj @ aj.conj().T) for aj in a]
+    traj = Trajectory(0.0, 0.05, np.array([random_state(r) for _ in range(intervals + 1)]))
+    useq = EvolutionSequence(0.0, 0.05, random_unitaries(r, intervals + 1))
+    whole = roundtrip_verify(traj, h, ks, useq)
+    monkeypatch.setattr(dissipative_recon, "_STEPS", steps)
+    chunked = roundtrip_verify(traj, h, ks, useq)
+    for name in ("max_deviation", "max_marginal_a", "max_marginal_b", "propagator_defect"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
 
 def test_roundtrip_memory_does_not_grow_with_n():
-    # the states are compared with the samples one block at a time, and an
-    # odd interval count adds one step of dt with its own three Liouvillians,
-    # so the traced peak of four candidates is the same at 4 and 16 blocks
+    # the states are compared with the samples _STEPS steps at a time, so
+    # the traced peak of four candidates is the same at 4 and 16 chunks, on
+    # even and odd interval counts
     def traced_peak(intervals):
         r = np.random.default_rng(intervals)
-        z = r.normal(size=(intervals, 4, 4)) + 1j * r.normal(size=(intervals, 4, 4))
-        useq = EvolutionSequence(0.0, 1.0 / intervals, np.concatenate([np.eye(4)[np.newaxis], np.linalg.qr(z)[0]]))
-        traj = Trajectory(0.0, 1.0 / intervals, np.broadcast_to(random_state(r), (intervals + 1, 4, 4)))
+        n = intervals + 1
+        h = np.broadcast_to(random_hermitian(r), (n, 4, 4))
+        useq = EvolutionSequence(0.0, 1.0 / intervals, np.broadcast_to(np.eye(4), (n, 4, 4)))
+        traj = Trajectory(0.0, 1.0 / intervals, np.broadcast_to(random_state(r), (n, 4, 4)))
         ks = [KossakowskiMatrix(0.01 * np.eye(15))] * 4
         tracemalloc.start()
         try:
-            roundtrip_verify(traj, random_hermitian(r), ks, useq)
+            roundtrip_verify(traj, h, ks, useq)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(16 * _BLOCK) <= 1.02 * traced_peak(4 * _BLOCK)
-    assert traced_peak(16 * _BLOCK + 1) <= 1.02 * traced_peak(4 * _BLOCK + 1)
+    assert traced_peak(2 * 16 * _STEPS) <= 1.02 * traced_peak(2 * 4 * _STEPS)
+    assert traced_peak(2 * 16 * _STEPS + 1) <= 1.02 * traced_peak(2 * 4 * _STEPS + 1)
 
 
 def test_roundtrip_names_the_diverging_step():
-    # a NaN at the midpoint of step 41, in the second block; roundtrip_verify
-    # reads only .u of the sequence, so a duck-typed one can hold the NaN
-    # that EvolutionSequence refuses
+    # a NaN in H at sample 2 * 40 + 1, the midpoint of step 41 of W
     r = np.random.default_rng(160)
-    u = np.array([np.eye(4, dtype=complex)] * 161)
-    u[2 * 40 + 1, 1, 2] = np.nan
+    h = np.array([random_hermitian(r)] * 161)
+    h[2 * 40 + 1, 1, 2] = np.nan
     traj = Trajectory(0.0, 1.0 / 160, np.broadcast_to(random_state(r), (161, 4, 4)))
+    useq = EvolutionSequence(0.0, 1.0 / 160, np.broadcast_to(np.eye(4), (161, 4, 4)))
     ks = [KossakowskiMatrix(0.01 * np.eye(15))] * 2
     with pytest.raises(RuntimeError, match="in step 41$"):
-        roundtrip_verify(traj, random_hermitian(r), ks, SimpleNamespace(u=u))
+        roundtrip_verify(traj, h, ks, useq)
 
 
 def test_roundtrip_names_its_tail_step():
-    # 3 intervals: one step of 2 dt, then the tail step of dt. At rate
-    # 1e50 the first step's states are finite (near 1e200, the RK4
-    # polynomial of the 2 dt step) and the tail's overflow, at any rate
-    # from 1e40 to 1e70
+    # 3 intervals: one step of 2 dt over samples 0 to 2, then the tail step
+    # of dt, the only one that reads the last sample, whose H overflows W
     r = np.random.default_rng(3)
+    h = np.zeros((4, 4, 4), dtype=complex)
+    h[-1] = 1e300 * np.eye(4)
     traj = Trajectory(0.0, 1.0 / 3, np.broadcast_to(random_state(r), (4, 4, 4)))
     useq = EvolutionSequence(0.0, 1.0 / 3, np.array([np.eye(4, dtype=complex)] * 4))
     with pytest.raises(RuntimeError, match="in step 2$"):
-        roundtrip_verify(traj, np.zeros((4, 4)), [KossakowskiMatrix(1e50 * np.eye(15))], useq)
+        roundtrip_verify(traj, h, [k_from_d(choice2_rates())], useq)
 
 
 def test_affine_generator_validation():
     with pytest.raises(ValueError):
         AffineGenerator(np.full((15, 15), np.nan), np.zeros(15))
     gen = AffineGenerator(np.zeros((15, 15)), np.zeros(15))
-    assert gen.unital
+    assert np.abs(gen.l).max() < 1e-12
 
 
 def test_kossakowski_requires_hermitian():

@@ -144,8 +144,8 @@ class TestRk4:
         t = 2.0
         # off-diagonal rotates as exp(-2it)
         expect = 0.5 * np.exp(-2j * t)
-        assert res.trajectory.samples[-1][0, 1] == pytest.approx(expect, abs=1e-10)
-        assert res.max_trace_drift < 1e-12
+        assert res.samples[-1][0, 1] == pytest.approx(expect, abs=1e-10)
+        assert res.trace_drift.max(axis=0) < 1e-12
         assert np.max(hermiticity_defect(res.samples)) < 1e-12
 
     def test_blowup_detected(self):

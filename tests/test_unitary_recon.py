@@ -67,7 +67,7 @@ class TestReconstructEvolution:
         def rhs(t, r):
             return -1j * (h @ r - r @ h)
 
-        traj = rk4_integrate(rhs, rho0, 0.0, dt, 400).trajectory
+        traj = Trajectory(0.0, dt, rk4_integrate(rhs, rho0, 0.0, dt, 400).samples)
         seq = reconstruct_evolution(traj)
         worst = 0.0
         for u, rho in zip(seq.u, traj.samples):
