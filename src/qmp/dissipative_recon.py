@@ -16,7 +16,8 @@ The round trip works in the interaction picture of H(t). With W(t) the
 propagator of W_dot = -i H(t) W, W(t0) = I, the GKSL equation
 rho_dot = -i[H, rho] + W Diss_K[W^dag rho W] W^dag has the exact solution
 rho(t) = W(t) e^{(t - t0) L_K}[rho0] W(t)^dag, so only W is integrated
-(one 4x4 RK4 shared by every K) and each K costs one matrix exponential.
+(one running product of per-step 4x4 RK4 matrices, shared by every K)
+and each K costs one matrix exponential.
 
 For diagonal K the two pictures are linked by the anticommutation
 pattern of the basis: D_kk = -2 * sum over i with {G_i, G_k} = 0 of
@@ -41,7 +42,7 @@ from .qcore import (
     PSD_EIG_TOL,
     Trajectory,
     _require_hermitian,
-    _rk4_steps,
+    _rk4_step,
     diff_series,
     spectrum,
 )
@@ -113,10 +114,6 @@ class KossakowskiMatrix:
         g = traceless_basis()
         o = np.einsum("aij,jk,bkl,il->ab", g, v, g, np.conj(v), optimize=True).real / 4.0
         return KossakowskiMatrix(o @ self.k @ o.T)
-
-    @staticmethod
-    def from_diagonal(diag) -> "KossakowskiMatrix":
-        return KossakowskiMatrix(np.diag(np.asarray(diag, dtype=float)))
 
 
 def hamiltonian_action(h: np.ndarray) -> np.ndarray:
@@ -210,7 +207,7 @@ def k_from_d(d_diag) -> KossakowskiMatrix:
     back = -2.0 * b @ k
     if np.max(np.abs(back - d_diag)) > _K_FROM_D_TOL * max(1.0, float(np.abs(d_diag).max())):
         raise ValueError("no diagonal Kossakowski matrix matches this D")
-    return KossakowskiMatrix.from_diagonal(k)
+    return KossakowskiMatrix(np.diag(k))
 
 
 def d_from_k(k: KossakowskiMatrix) -> AffineGenerator:
@@ -367,23 +364,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagator(h: np.ndarray, dt: float):
-    """Yield W after each RK4 step of W_dot = -i H W from W = I, for H
-    sampled every dt as h (n, 4, 4): steps of 2 dt whose stage s of step i
-    reads h[2 i + s], then, on an odd interval count, one step of dt over
-    h[-2], (h[-2] + h[-1]) / 2 and h[-1]. A non-finite W raises
-    RuntimeError naming its step."""
-    pairs = (len(h) - 1) // 2
-    w = np.eye(4, dtype=complex)
-    for w in _rk4_steps(lambda i, s, x: -1j * (h[2 * i + s] @ x), w, 2 * dt, range(pairs)):
-        yield w
-    if len(h) % 2 == 0:
-        tail = (h[-2], 0.5 * (h[-2] + h[-1]), h[-1])
-        yield from _rk4_steps(lambda i, s, x: -1j * (tail[s] @ x), w, dt, [pairs])
-
-
-# RK4 steps per chunk of states compared with the samples. A chunk (W and,
-# per candidate, the frame and model states: about 1 kB per step) is the
+# RK4 steps per chunk. A chunk (per step its RK4 matrix and W, and per
+# candidate the frame and model states: about 1 kB per step) is the
 # round trip's only scratch, and it is kept below qcore._CHUNK because
 # reconstruct master holds the samples, U(t) and H(t) meanwhile: on a
 # 20001-sample example3 its peak RSS was 53 MB with 256 steps and 56.6 MB
@@ -411,43 +393,60 @@ def roundtrip_verify(
     compare with the samples.
 
     ``h`` is H(t) on the trajectory's grid, (n, 4, 4), or one 4x4 matrix
-    for all of it. W is its RK4 propagator (see _propagator): steps of
-    2 dt that read H by sample index, so any t0 works, and on an odd
-    interval count one last step of dt. The states are the exact
+    for all of it. W is its RK4 propagator: step k runs from sample 2 k to
+    min(2 k + 2, n - 1), so an odd interval count ends with one step of
+    dt, and its stages read H by sample index (so any t0 works) at the
+    step's start, its end and the midpoint H (H_{end-1} + H_{start+1}) / 2,
+    which is the middle sample of a step of 2 dt. Each chunk of _STEPS
+    steps takes the RK4 matrices P_k of all its steps, as P_k - I, in one
+    _rk4_step, and only W_k = P_k W_{k-1} loops. The states are the exact
     rho_j(t) = W(t) e^{(t - t0) L_Kj}[rho0] W(t)^dag, where the frame part
-    advances by e^{2 dt L_Kj} per step (e^{dt L_Kj} for the last step of
-    dt), from one _expm per candidate, so only W is approximate.
+    advances by e^{2 dt L_Kj} per step (e^{dt L_Kj} for a step of dt),
+    from one _expm per candidate, so only W is approximate.
     Deviations are the max Frobenius distance of the joint state and the
     max absolute entry deviation of each marginal, over the states after
     every step; the propagator defect is the max spectral norm of W - U,
-    with U from ``useq``. States are compared _STEPS steps at a time and
+    with U from ``useq``. States are compared one chunk at a time and
     only running maxima are kept, so no array grows with n. A non-finite W
     raises RuntimeError naming its step; a candidate whose states leave
     the float range gets an inf or NaN deviation, with no warning.
     """
     n = traj.n
     h = np.broadcast_to(np.asarray(h, dtype=complex), (n, 4, 4))
-    # step k reaches sample 2 k, or, as the tail step of an odd count, n - 1
-    reached = range(2, n + 1, 2)
     one = np.stack([_expm(traj.dt * k.liouvillian) for k in ks])
-    frame_step = (one @ one, one)  # by the parity of the sample a step reaches
+    frame_step = {1: one, 2: one @ one}  # e^{s dt L_Kj} for a step of s intervals
     x = np.broadcast_to(traj.samples[0].reshape(16, 1), (len(ks), 16, 1))
-    steps = _propagator(h, traj.dt)
+    wk = eye = np.eye(4)
     # rows: deviation, marginal A, marginal B; sample 0 is rho0
     worst = np.zeros((3, len(ks)))
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, len(reached), _STEPS):
-            part = [min(i, n - 1) for i in reached[first : first + _STEPS]]
-            w = np.empty((len(part), 4, 4), dtype=complex)
-            frame = np.empty((len(part), len(ks), 16, 1), dtype=complex)
-            for k, (i, wk) in enumerate(zip(part, steps)):
-                w[k] = wk
-                x = frame[k] = frame_step[i % 2] @ x
-            defect = max(defect, float(np.linalg.norm(w - useq.u[part], 2, axis=(-2, -1)).max()))
+        for first in range(0, n // 2, _STEPS):
+            start = np.arange(2 * first, min(2 * (first + _STEPS), n - 1), 2)
+            end = np.minimum(start + 2, n - 1)
+            size = end - start
+            stage = (h[start], 0.5 * (h[end - 1] + h[start + 1]), h[end])
+            # each step's P_k - I, the RK4 step of Y_dot = -i H (I + Y) from 0:
+            # W_k = W_{k-1} + (P_k - I) W_{k-1} keeps the bits that rounding to
+            # the 1s of P_k loses (over 10^4 steps, 4e-13 of W against 6e-15)
+            inc = _rk4_step(
+                lambda s, y: -1j * (stage[s] @ (eye + y)),
+                np.zeros((4, 4), dtype=complex),
+                traj.dt * size[:, np.newaxis, np.newaxis],
+            )
+            w = np.empty_like(inc)
+            frame = np.empty((len(start), len(ks), 16, 1), dtype=complex)
+            for k in range(len(start)):
+                wk = w[k] = wk + inc[k] @ wk
+                x = frame[k] = frame_step[size[k]] @ x
+            bad = ~np.isfinite(w).all(axis=(-2, -1))
+            if bad.any():
+                step = first + int(np.argmax(bad)) + 1
+                raise RuntimeError(f"integration produced non-finite values in step {step}")
+            defect = max(defect, float(np.linalg.norm(w - useq.u[end], 2, axis=(-2, -1)).max()))
             w = w[:, np.newaxis]
-            diff = w @ frame.reshape(len(part), -1, 4, 4) @ w.conj().swapaxes(-1, -2)
-            diff -= traj.samples[part][:, np.newaxis]
+            diff = w @ frame.reshape(len(start), -1, 4, 4) @ w.conj().swapaxes(-1, -2)
+            diff -= traj.samples[end][:, np.newaxis]
             # the marginals' deviations by index sums, not partial_trace, which
             # refuses the non-finite states of a diverging candidate
             qubits = diff.reshape(diff.shape[:2] + (2, 2, 2, 2))

@@ -313,22 +313,16 @@ class IntegrationResult:
     trace_drift: np.ndarray = field(repr=False)
 
 
-def _rk4_steps(generator, rho, dt: float, steps):
-    """Yield the classic RK4 state after each step index i of ``steps``
-    (not ``rho`` itself), one step at a time. The generator is called as
-    generator(i, stage, rho), with stage 0 at the step's start, 1 at its
-    midpoint and 2 at its end; a step with a non-finite entry raises
-    RuntimeError naming it as step i + 1."""
+def _rk4_step(f, y, dt):
+    """One classic RK4 step of y_dot = f(stage, y) from y, with stage 0 at
+    the step's start, 1 at its midpoint and 2 at its end. ``dt`` may be
+    an array that broadcasts against y, one step size per matrix."""
     half = 0.5 * dt
-    for i in steps:
-        k1 = generator(i, 0, rho)
-        k2 = generator(i, 1, rho + half * k1)
-        k3 = generator(i, 1, rho + half * k2)
-        k4 = generator(i, 2, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(rho).all():
-            raise RuntimeError(f"integration produced non-finite values in step {i + 1}")
-        yield rho
+    k1 = f(0, y)
+    k2 = f(1, y + half * k1)
+    k3 = f(1, y + half * k2)
+    k4 = f(2, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> IntegrationResult:
@@ -346,13 +340,12 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
     offsets = (0.0, 0.5 * dt, dt)  # of the stages from the step's start
-
-    def at_time(i, stage, rho):
-        return generator(t0 + i * dt + offsets[stage], rho)
-
     out = np.empty((n_steps + 1,) + rho.shape, dtype=complex)
     out[0] = rho
-    for i, state in enumerate(_rk4_steps(at_time, rho, dt, range(n_steps)), 1):
-        out[i] = state
+    for i in range(n_steps):
+        t = t0 + i * dt
+        rho = out[i + 1] = _rk4_step(lambda stage, x: generator(t + offsets[stage], x), rho, dt)
+        if not np.isfinite(rho).all():
+            raise RuntimeError(f"integration produced non-finite values in step {i + 1}")
     trace = np.trace(out, axis1=-2, axis2=-1)
     return IntegrationResult(t0, dt, out, np.abs(trace - trace[0]))

@@ -58,10 +58,6 @@ class EvolutionSequence:
             raise ValueError("sequence must start at the identity")
         object.__setattr__(self, "u", u)
 
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
 
 @dataclass(frozen=True)
 class EigenframeResult:

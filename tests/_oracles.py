@@ -5,16 +5,17 @@ These deliberately take different routes than the production code
 over the Kossakowski matrix or the Pauli basis, one trace per generator
 instead of one einsum for the coherence vector, eigenvalue tests
 instead of Cholesky pivots, one RK4 loop per state instead of one over
-a stack, a phase fix per eigenvector and an SVD per degenerate block
-instead of one masked polar factor per step, scipy's expm of the
-per-term superoperator instead of the package's scaling and squaring,
-np.gradient instead of the package's difference stencil, nested lists
-through json instead of streamed %-templates and a flat read of the
-samples array) so that agreement between the two is meaningful.
-Nothing here calls qmp.dissipative_recon, qmp.unitary_recon or
-qmp.qcore.rk4_integrate. The file reader takes only
-CliError and the schema checks of trajectory_from_dict from qmp.cli,
-which both readers share.
+a stack, the round trip's W stepped one RK4 step at a time instead of
+multiplied up from per-step RK4 matrices, a phase fix per eigenvector
+and an SVD per degenerate block instead of one masked polar factor per
+step, scipy's expm of the per-term superoperator instead of the
+package's scaling and squaring, np.gradient instead of the package's
+difference stencil, nested lists through json instead of streamed
+%-templates and a flat read of the samples array) so that agreement
+between the two is meaningful. Nothing here calls qmp.dissipative_recon,
+qmp.unitary_recon, qmp.qcore.rk4_integrate or its step
+qmp.qcore._rk4_step. The file reader takes only CliError and the schema
+checks of trajectory_from_dict from qmp.cli, which both readers share.
 """
 
 import json

@@ -586,8 +586,11 @@ def test_roundtrip_memory_does_not_grow_with_n():
     assert traced_peak(2 * 16 * _STEPS + 1) <= 1.02 * traced_peak(2 * 4 * _STEPS + 1)
 
 
-def test_roundtrip_names_the_diverging_step():
-    # a NaN in H at sample 2 * 40 + 1, the midpoint of step 41 of W
+@pytest.mark.parametrize("steps", [1, 7, 40, 41, 256])
+def test_roundtrip_names_the_diverging_step(monkeypatch, steps):
+    # a NaN in H at sample 2 * 40 + 1, the midpoint of step 41 of W; step 41
+    # is alone in its chunk, mid-chunk, or a chunk's first or last step
+    monkeypatch.setattr(dissipative_recon, "_STEPS", steps)
     r = np.random.default_rng(160)
     h = np.array([random_hermitian(r)] * 161)
     h[2 * 40 + 1, 1, 2] = np.nan
