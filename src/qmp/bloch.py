@@ -198,10 +198,6 @@ class PauliDecomposition:
 
     h: np.ndarray
 
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h.reshape(h.shape[:-2] + (4, 4)))
-
 
 def pauli_decompose(h: np.ndarray) -> PauliDecomposition:
     """Expand a Hermitian 4x4 operator (or each of a stack) in the

@@ -3,7 +3,7 @@
 Subcommands generate the worked scenarios, run compatibility checks,
 reconstruct Hamiltonians or master equations, and dump measure series:
 
-    qmp scenario example1 --J 2 --t-max 3.14159 --steps 200 --out DIR
+    qmp scenario example1|example2|example3 [OPTIONS] --t-max F --steps N --out DIR
     qmp check JOINT.json [--tol F]
     qmp check MARGINAL_A.json MARGINAL_B.json [--tol F]
     qmp reconstruct unitary JOINT.json --out DIR
@@ -13,8 +13,8 @@ reconstruct Hamiltonians or master equations, and dump measure series:
 Trajectory files are JSON with fields dim, t0, dt, n, params and
 samples, where samples[i] lists the dim^2 entries of the matrix at time
 t0 + i*dt row-major, each complex entry as an [re, im] pair. They are
-written as compact JSON (no whitespace), streamed CHUNK samples at a
-time, so the whole text is never held in memory. They are read in any
+written as compact JSON (no whitespace), streamed qcore._CHUNK samples at
+a time, so the whole text is never held in memory. They are read in any
 JSON layout: when samples is the last key and an array of [re, im]
 float pairs, it is read flat, a few hundred kB of its text at a time;
 any other layout goes through json, with the same values, exit code
@@ -30,19 +30,20 @@ candidate, or a round trip whose propagator W of H(t) reaches a
 non-finite value, named with its RK4 step (W is shared, so that ends
 the round trip of every candidate), or a non-finite deviation from the
 samples, named with its candidates (report.json is not written), 4
-parse error:
-unreadable JSON (undecodable bytes, invalid or too deeply nested JSON)
-or any schema violation (a missing or mistyped field, a true or false
-among the samples, a sample of the wrong shape, a non-finite number,
-n < 3, dt <= 0), reported with the
-field or sample index; or a bad argument, reported with the option's
-name: one the parser rejects (an unknown command or option, a missing
-one, a value that is not a number), --steps < 2, a --t-max, --J,
---omega or --tol that is not a finite number > 0, or a
---gamma that is not a finite number >= 0; or an --out that cannot be
-written (a file where a directory is wanted, a directory where a file
-is wanted, no permission), reported with the path. A reader that
-closes standard output early does not change the exit code.
+parse error: unreadable JSON (undecodable bytes, invalid or too deeply
+nested JSON) or any schema violation (a missing or mistyped field, a
+true or false among the samples, a sample of the wrong shape, a
+non-finite number, n < 3, dt <= 0), reported with the field or sample
+index; or a bad argument, which the parser rejects naming the option
+before anything is written: an unknown command or option (a scenario
+takes only its own: example1 --J, example2 --omega, example3 --J and
+--gamma), a missing one, a third file given to check, a --steps that
+is not an integer >= 2, a --t-max, --J, --omega or --tol that is not a
+finite number > 0, or a --gamma that is not a finite number >= 0; or an
+--out that cannot be written (a file where a directory is wanted, a
+directory where a file is wanted, no permission), reported with the
+path. A reader that closes standard output early does not change the
+exit code.
 check's --tol (default 1e-10) sets the unitarity verdict of a joint
 file (the drift of Tr rho^k for k = 2..4) and the "isospectral" verdict
 of a marginal pair. reconstruct takes no tolerance: it calls a
@@ -70,7 +71,7 @@ from itertools import chain
 import numpy as np
 
 from . import bloch, dissipative_recon as dr, kinematics, measures, unitary_recon as ur
-from .qcore import Trajectory, _joined, partial_trace, validate_state
+from .qcore import Trajectory, _chunks, _joined, partial_trace, validate_state
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -85,19 +86,6 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
-
-
-def _positive_finite(raw, name: str, zero_ok: bool = False) -> float:
-    """float(raw) if it is a finite number > 0 (or >= 0 with ``zero_ok``),
-    else exit 4 naming ``name``."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = float("nan")
-    if not (np.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise CliError(f"{name} must be a finite number {bound}, got {raw!r}", EXIT_PARSE)
-    return value
 
 
 def _joint_trajectory(path: str, command: str) -> Trajectory:
@@ -152,16 +140,13 @@ def _atomic_write(path: str, chunks):
             os.unlink(tmp)
 
 
-CHUNK = 1024  # samples (or CSV rows) per %-template write
-
-
 def _formatted_rows(rows: np.ndarray, row: str, sep: str):
     """Yield the text of the rows of a 2-D float array, ``row`` holding
     one %-field per column and ``sep`` going between rows: one
-    %-template per CHUNK rows, so the whole text is never held."""
-    for start in range(0, len(rows), CHUNK):
-        block = rows[start:start + CHUNK]
-        if start:
+    %-template per qcore._CHUNK rows, so the whole text is never held."""
+    for part in _chunks(len(rows)):
+        block = rows[part]
+        if part.start:
             yield sep
         yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
 
@@ -236,7 +221,7 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
 
 def write_trajectory(path: str, traj: Trajectory, params=None):
     """Compact JSON, streamed: the header through json.dumps, the
-    samples CHUNK at a time through one %r template (the float repr
+    samples qcore._CHUNK at a time through one %r template (the float repr
     that json writes). A non-finite sample exits 2 naming it, and
     nothing is written."""
     pairs = np.ascontiguousarray(traj.samples).view(float).reshape(traj.n, -1)
@@ -384,25 +369,10 @@ def write_report(path_or_none, doc: dict):
 
 
 def cmd_scenario(args) -> int:
-    if args.steps < 2:
-        raise CliError(f"--steps must be at least 2, got {args.steps}", EXIT_PARSE)
-    t_max = _positive_finite(args.t_max, "--t-max")
-    _positive_finite(args.J, "--J")
-    _positive_finite(args.omega, "--omega")
-    _positive_finite(args.gamma, "--gamma", zero_ok=True)
-    name = args.name
-    if name == "example1":
-        sc = kinematics.scenario_example1(args.J)
-        params = {"J": args.J}
-    elif name == "example2":
-        sc = kinematics.scenario_example2(args.omega)
-        params = {"omega": args.omega}
-    elif name == "example3":
-        sc = kinematics.scenario_example3(args.J, args.gamma)
-        params = {"J": args.J, "gamma": args.gamma}
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown scenario {name}", EXIT_PARSE)
-    dt = t_max / args.steps
+    params = {option: getattr(args, option) for option in SCENARIOS[args.name]}
+    # looked up at call time, so that a wrapped sampler is the one called
+    sc = getattr(kinematics, "scenario_" + args.name)(*params.values())
+    dt = args.t_max / args.steps
     n = args.steps + 1
     pair = sc.marginals(0.0, dt, n)
     _output_dir(args.out)
@@ -427,22 +397,19 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_check(args) -> int:
-    tol = _positive_finite(args.tol, "--tol")
-    if len(args.files) == 1:
-        traj = _joint_trajectory(args.files[0], "single-file check")
-        rep = kinematics.unitarity_test(traj, tol)
+    if args.file_b is None:
+        traj = _joint_trajectory(args.file, "single-file check")
+        rep = kinematics.unitarity_test(traj, args.tol)
         doc = {
             "check": "unitarity",
             "verdict": "PASS" if rep.passed else "FAIL",
             "drift": {str(k): v for k, v in rep.drift.items()},
-            "tol": tol,
+            "tol": args.tol,
         }
         write_report(args.out, doc)
         return EXIT_OK
-    pair = kinematics.MarginalPair(
-        load_trajectory(args.files[0]), load_trajectory(args.files[1])
-    )
-    iso = kinematics.isospectral_test(pair, tol)
+    pair = kinematics.MarginalPair(load_trajectory(args.file), load_trajectory(args.file_b))
+    iso = kinematics.isospectral_test(pair, args.tol)
     win = kinematics.unitary_window(pair)
     doc = {
         "check": "marginal-pair",
@@ -453,7 +420,7 @@ def cmd_check(args) -> int:
             "c_hi": win.c_hi,
             "exists": win.exists,
         },
-        "tol": tol,
+        "tol": args.tol,
     }
     write_report(args.out, doc)
     return EXIT_OK
@@ -514,7 +481,7 @@ def cmd_reconstruct_master(args) -> int:
             "label": label,
             "d_diag": list(d_full),
             "k_diag": list(np.diag(k.k).real),
-            "k_spectrum": list(k.spectrum()),
+            "k_spectrum": list(cp.spectrum),
             "cp_valid": cp.valid,
             "min_k_eigenvalue": cp.min_eigenvalue,
         }
@@ -573,24 +540,51 @@ def cmd_measures(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# each scenario's options with their defaults, in the order its sampler takes them
+SCENARIOS = {"example1": {"J": 2.0}, "example2": {"omega": 1.0},
+             "example3": {"J": 2.0, "gamma": 0.2}}
+
+
+def _option(kind, test, bound: str):
+    """An argparse type: kind(raw) if it passes ``test``. Any other value, an
+    unreadable one too, is one error: "argument --X: must be <bound>, got <raw>"."""
+
+    def parse(raw: str):
+        try:
+            if test(value := kind(raw)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {raw!r}")
+
+    return parse
+
+
+_POSITIVE = _option(float, lambda v: np.isfinite(v) and v > 0.0, "a finite number > 0")
+_NON_NEGATIVE = _option(float, lambda v: np.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_STEP_COUNT = _option(int, lambda v: v >= 2, "an integer >= 2")
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qmp", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scenario", help="generate a worked scenario")
-    sc.add_argument("name", choices=["example1", "example2", "example3"])
-    sc.add_argument("--J", type=float, default=2.0)
-    sc.add_argument("--omega", type=float, default=1.0)
-    sc.add_argument("--gamma", type=float, default=0.2)
-    sc.add_argument("--t-max", type=float, required=True)
-    sc.add_argument("--steps", type=int, required=True)
-    sc.add_argument("--out", required=True)
-    sc.set_defaults(func=cmd_scenario)
+    names = sc.add_subparsers(dest="name", required=True)
+    for name, defaults in SCENARIOS.items():
+        ex = names.add_parser(name)
+        for opt, value in defaults.items():
+            kind = _NON_NEGATIVE if opt == "gamma" else _POSITIVE
+            ex.add_argument(f"--{opt}", type=kind, default=value)
+        ex.add_argument("--t-max", type=_POSITIVE, required=True)
+        ex.add_argument("--steps", type=_STEP_COUNT, required=True)
+        ex.add_argument("--out", required=True)
+        ex.set_defaults(func=cmd_scenario)
 
     ck = sub.add_parser("check", help="unitarity / marginal-pair checks")
-    ck.add_argument("files", nargs="+", help="joint file, or marginal A and B files")
-    ck.add_argument("--tol", default="1e-10")
+    ck.add_argument("file", help="joint file, or marginal A file")
+    ck.add_argument("file_b", nargs="?", help="marginal B file")
+    ck.add_argument("--tol", type=_POSITIVE, default=1e-10)
     ck.add_argument("--out", default=None)
     ck.set_defaults(func=cmd_check)
 
@@ -617,9 +611,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a bad argument, 0 after --help
         return EXIT_PARSE if exc.code == 2 else exc.code
-    if getattr(args, "command", None) == "check" and len(args.files) > 2:
-        _say("check takes one joint file or two marginal files", sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except CliError as exc:

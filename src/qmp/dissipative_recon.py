@@ -225,14 +225,14 @@ def d_from_k(k: KossakowskiMatrix) -> AffineGenerator:
 class CpReport:
     valid: bool
     min_eigenvalue: float
-    tol: float
+    spectrum: np.ndarray  # K's eigenvalues, ascending
 
 
 def cp_check(k: KossakowskiMatrix) -> CpReport:
     """GKSL validity: the generator is CP-divisible iff K is PSD
     (its lowest eigenvalue at least -PSD_EIG_TOL)."""
     w = k.spectrum()
-    return CpReport(bool(w[0] >= -PSD_EIG_TOL), float(w[0]), PSD_EIG_TOL)
+    return CpReport(bool(w[0] >= -PSD_EIG_TOL), float(w[0]), w)
 
 
 @dataclass(frozen=True)
@@ -306,26 +306,25 @@ def candidate_diagonals(fit: DiagonalFit):
     may take any value. Three completions are tried, each paired with
     its diagonal Kossakowski matrix:
 
-    - ``zero``: free rates set to zero (the minimal guess);
+    - ``zero``: free rates set to zero (the minimal guess), K by k_from_d;
     - ``single``: a single non-negative K entry reproducing the active
       rates, lowest generator index first;
     - ``nnls``: non-negative least squares over all K entries, kept when
       it actually matches the active rates.
 
+    The last two pick K's diagonal, so D = -2 B diag(K) comes from it.
     Duplicate completions are dropped; order is deterministic.
     """
     b = anticommutation_table()
     active = list(fit.active)
     d_active = fit.d_diag[active]
-    out = []
+    out = [("zero", fit.d_diag.copy(), k_from_d(fit.d_diag))]
 
-    def push(label, d_full):
-        for _, seen, _ in out:
-            if np.max(np.abs(seen - d_full)) < 1e-12:
-                return
-        out.append((label, d_full, k_from_d(d_full)))
+    def push(label, kvec):
+        d_full = -2.0 * b @ kvec
+        if all(np.max(np.abs(seen - d_full)) >= 1e-12 for _, seen, _ in out):
+            out.append((label, d_full, KossakowskiMatrix(np.diag(kvec))))
 
-    push("zero", fit.d_diag.copy())
     if active:
         a = -2.0 * b[active, :]
         for j in range(15):
@@ -340,10 +339,10 @@ def candidate_diagonals(fit: DiagonalFit):
             if np.max(np.abs(col * kappa - d_active)) < _CANDIDATE_TOL:
                 kvec = np.zeros(15)
                 kvec[j] = max(kappa, 0.0)
-                push(f"single:{j + 1}", -2.0 * b @ kvec)
+                push(f"single:{j + 1}", kvec)
         kvec, rnorm = _nnls(a, d_active)
         if rnorm < _CANDIDATE_TOL:
-            push("nnls", -2.0 * b @ kvec)
+            push("nnls", kvec)
     return out
 
 

@@ -65,14 +65,12 @@ class MarginalPair:
 class UnitarityReport:
     passed: bool
     drift: dict  # k -> max_t |Tr rho^k(t) - Tr rho^k(t0)|
-    tol: float
 
 
 @dataclass(frozen=True)
 class IsospectralReport:
     isospectral: bool
     max_distance: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def unitarity_test(traj: Trajectory, tol: float = 1e-10) -> UnitarityReport:
         raise ValueError(f"unitarity test supports dim <= 4, got dim {traj.dim}")
     powers = _trace_powers(traj.samples, range(2, traj.dim + 1))
     drift = {k: float(np.max(np.abs(p - p[0]))) for k, p in powers.items()}
-    return UnitarityReport(all(d <= tol for d in drift.values()), drift, tol)
+    return UnitarityReport(all(d <= tol for d in drift.values()), drift)
 
 
 def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport:
@@ -114,7 +112,7 @@ def isospectral_test(pair: MarginalPair, tol: float = 1e-9) -> IsospectralReport
     d0 = np.abs(ra[:, 0] - rb[:, 0])
     d = np.abs(np.linalg.norm(ra[:, 1:], axis=1) - np.linalg.norm(rb[:, 1:], axis=1))
     dist = float(np.max(d0 + d)) / 2
-    return IsospectralReport(dist < tol, dist, tol)
+    return IsospectralReport(dist < tol, dist)
 
 
 # |r| below which a marginal has no Bloch axis to follow

@@ -307,8 +307,6 @@ class IntegrationResult:
     (n_steps + 1, c, d, d) for a stack of c; the trace drift is per
     sample, and per state of a stack."""
 
-    t0: float
-    dt: float
     samples: np.ndarray = field(repr=False)
     trace_drift: np.ndarray = field(repr=False)
 
@@ -348,4 +346,4 @@ def rk4_integrate(generator, rho0, t0: float, dt: float, n_steps: int) -> Integr
         if not np.isfinite(rho).all():
             raise RuntimeError(f"integration produced non-finite values in step {i + 1}")
     trace = np.trace(out, axis1=-2, axis2=-1)
-    return IntegrationResult(t0, dt, out, np.abs(trace - trace[0]))
+    return IntegrationResult(out, np.abs(trace - trace[0]))

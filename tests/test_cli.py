@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qmp import cli
 from qmp import dissipative_recon as dr
 from qmp.cli import (
-    CHUNK,
     EXIT_INVALID,
     EXIT_NO_CP,
     EXIT_OK,
@@ -28,7 +27,7 @@ from qmp.cli import (
 )
 import qmp
 from qmp.kinematics import scenario_example1, scenario_example3, unitarity_test
-from qmp.qcore import Trajectory
+from qmp.qcore import _CHUNK as CHUNK, Trajectory
 
 from _oracles import load_trajectory_nested, trajectory_to_dict
 
@@ -832,11 +831,18 @@ def test_qmp_tol_env_override(tmp_path, monkeypatch):
         (["example3", "--J", "inf", "--t-max", 3, "--steps", 10], "--J"),
         (["example1", "--J", 0, "--t-max", 3, "--steps", 10], "--J"),
         (["example2", "--omega", "nan", "--t-max", 3, "--steps", 10], "--omega"),
+        # options of another scenario, which this one would ignore
+        (["example1", "--gamma", 5, "--t-max", 3, "--steps", 10], "--gamma"),
+        (["example1", "--omega", 5, "--t-max", 3, "--steps", 10], "--omega"),
+        (["example2", "--J", 5, "--t-max", 3, "--steps", 10], "--J"),
+        (["example2", "--gamma", 5, "--t-max", 3, "--steps", 10], "--gamma"),
+        (["example3", "--omega", 5, "--t-max", 3, "--steps", 10], "--omega"),
     ],
     ids=[
         "steps-0", "steps-1", "t-max-inf", "t-max-nan", "t-max-0", "t-max-negative",
         "t-max-abc", "steps-abc", "J-abc", "gamma-nan", "gamma-inf", "gamma-negative",
-        "J-inf", "J-0", "omega-nan",
+        "J-inf", "J-0", "omega-nan", "example1-gamma", "example1-omega", "example2-J",
+        "example2-gamma", "example3-omega",
     ],
 )
 def test_bad_scenario_arguments_exit_4(tmp_path, capsys, argv, named):
@@ -847,14 +853,27 @@ def test_bad_scenario_arguments_exit_4(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+def test_bad_values_get_one_message(tmp_path, capsys):
+    # a value float() cannot read and a non-finite one are both the parser's
+    # rejection, in the same words
+    messages = []
+    for raw in ("abc", "nan"):
+        assert run("scenario", "example1", "--t-max", raw, "--steps", 10, "--out", tmp_path) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"argument --t-max: must be a finite number > 0, got '{raw}'" in err
+        messages.append(err.replace(raw, "RAW"))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
         (["simulate", "example1"], "simulate"),
         (["scenario", "example1", "--t-max", 3, "--steps", 10], "--out"),
         (["reconstruct", "master", "joint.json"], "--out"),
+        (["check", "a.json", "b.json", "c.json"], "unrecognized arguments: c.json"),
     ],
-    ids=["unknown-command", "scenario-no-out", "reconstruct-no-out"],
+    ids=["unknown-command", "scenario-no-out", "reconstruct-no-out", "check-three-files"],
 )
 def test_parser_errors_exit_4(capsys, argv, named):
     # argparse's own exit 2 is the code of an invalid state, so it maps to 4

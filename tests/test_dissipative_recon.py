@@ -613,6 +613,23 @@ def test_roundtrip_names_its_tail_step():
         roundtrip_verify(traj, h, [k_from_d(choice2_rates())], useq)
 
 
+def test_propagator_keeps_its_rounding_over_10000_steps():
+    # constant H with ||H|| = 1, so U = e^{-i H t} is exact from eigh and
+    # RK4's own error is far below rounding: the defect is W's rounding,
+    # which the increment form W_{k-1} + (P_k - I) W_{k-1} keeps near 1e-14
+    # (the plain product P_k W_{k-1} drifts to about 4e-13)
+    r = np.random.default_rng(20001)
+    h = random_hermitian(r)
+    h /= np.linalg.norm(h, 2)
+    n, dt = 20001, 1e-4
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * dt * np.arange(n)[:, np.newaxis] * w)
+    useq = EvolutionSequence(0.0, dt, (v * phases[:, np.newaxis, :]) @ v.conj().T)
+    traj = Trajectory(0.0, dt, np.broadcast_to(random_state(r), (n, 4, 4)))
+    rep = roundtrip_verify(traj, h, [KossakowskiMatrix(np.zeros((15, 15)))], useq)
+    assert rep.propagator_defect < 5e-14
+
+
 def test_affine_generator_validation():
     with pytest.raises(ValueError):
         AffineGenerator(np.full((15, 15), np.nan), np.zeros(15))
