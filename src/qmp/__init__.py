@@ -20,12 +20,9 @@ from .qcore import (
 )
 from .bloch import (
     CoherenceVector,
-    bloch_invariants,
-    correlation_tensor,
     invariants_series,
     pauli_decompose,
     to_coherence,
-    x_form,
 )
 from .kinematics import (
     MarginalPair,

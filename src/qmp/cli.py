@@ -565,8 +565,20 @@ _NON_NEGATIVE = _option(float, lambda v: np.isfinite(v) and v >= 0.0, "a finite 
 _STEP_COUNT = _option(int, lambda v: v >= 2, "an integer >= 2")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses an argument it does not take itself, so the
+    usage line of the error is the innermost command's. Subparsers are
+    made of their parent's class, so every command's parser is one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qmp", description=__doc__.split("\n")[0])
+    p = _Parser(prog="qmp", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scenario", help="generate a worked scenario")

@@ -69,6 +69,11 @@ def _joined(f, a: np.ndarray):
     return np.concatenate(parts)
 
 
+def _first_bad(bad) -> str:
+    """'' for one matrix; ' at sample i' (flat index) for a stack's first bad one."""
+    return f" at sample {np.flatnonzero(bad)[0]}" if np.ndim(bad) else ""
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
     return np.swapaxes(a.conj(), -1, -2)
@@ -78,8 +83,9 @@ def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not _joined(lambda x: np.isfinite(x).all(axis=(-2, -1)), a).all():
-        raise ValueError(f"{name} has non-finite entries")
+    finite = _joined(lambda x: np.isfinite(x).all(axis=(-2, -1)), a)
+    if not finite.all():
+        raise ValueError(f"{name} has non-finite entries{_first_bad(~finite)}")
     return a
 
 
@@ -99,8 +105,9 @@ def _require_hermitian(a: np.ndarray, caller: str, rtol: float = 1e-8):
     def hermitian(x):
         return hermiticity_defect(x) <= rtol * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
 
-    if not np.all(_joined(hermitian, a)):
-        raise ValueError(f"{caller} expects a Hermitian matrix")
+    ok = _joined(hermitian, a)
+    if not np.all(ok):
+        raise ValueError(f"{caller} expects a Hermitian matrix{_first_bad(~ok)}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,9 @@ def partial_trace(rho: np.ndarray, subsystem: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError("partial_trace expects a 4x4 matrix or a stack of them")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("rho has non-finite entries")
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"rho has non-finite entries{_first_bad(~finite)}")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "B":
         return np.einsum("...ikjk->...ij", r)
@@ -242,8 +250,11 @@ def _trace_powers(rho: np.ndarray, ks) -> dict:
 
     out = {}
     for k, t in zip(powers, _joined(traces, rho)):
-        if np.any(np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))):
-            raise ValueError(f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}")
+        bad = np.abs(t.imag) > 1e-9 * np.maximum(1.0, np.abs(t.real))
+        if np.any(bad):
+            raise ValueError(
+                f"trace power has large imaginary part {np.max(np.abs(t.imag)):g}{_first_bad(bad)}"
+            )
         out[k] = t.real
     return out
 

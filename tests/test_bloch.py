@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.transform import Rotation
 
 from qmp.bloch import (
-    CoherenceVector,
-    bloch_invariants,
-    correlation_tensor,
     invariants_series,
     pauli_basis,
     pauli_decompose,
-    su2_from_so3,
     to_coherence,
     traceless_basis,
-    x_form,
 )
 from qmp.kinematics import scenario_example1, scenario_example3
-from qmp.qcore import SIGMA, dag
+from qmp.measures import purity
+from qmp.qcore import SIGMA, dag, partial_trace, spectrum, validate_state
 
 from _oracles import pauli_sum, random_hermitian, random_state, state_from_coherence
 
@@ -68,78 +63,25 @@ class TestCoherence:
             to_coherence(np.array([[0, 1], [0, 0]]))
 
 
+def _ztilde(rho):
+    """The correlation tensor ztilde_ij = z_ij - x_i y_j that
+    invariants_series diagonalizes."""
+    v = to_coherence(rho)
+    return v.z - v.x[..., :, None] * v.y[..., None, :]
+
+
 class TestCorrelation:
     def test_vanishes_on_products(self):
-        zt = correlation_tensor(np.kron(random_state(rng, 2), random_state(rng, 2)))
+        zt = _ztilde(np.kron(random_state(rng, 2), random_state(rng, 2)))
         np.testing.assert_allclose(zt, 0, atol=1e-12)
 
     def test_oscillating_joint_state_structure(self):
-        # mixed unitary scenario: z~ has an antisymmetric off-diagonal pair
+        # mixed unitary scenario: ztilde has an antisymmetric off-diagonal pair
         t = 0.3
-        rho = scenario_example1(2.0).joint_at(t)
-        zt = correlation_tensor(rho)
+        zt = _ztilde(scenario_example1(2.0).joint_at(t))
         assert zt[0, 1] == pytest.approx(-np.sin(2 * t) / 8, abs=1e-12)
         assert zt[1, 0] == pytest.approx(np.sin(2 * t) / 8, abs=1e-12)
         assert zt[2, 2] == pytest.approx(np.cos(2 * t) ** 2 / 64, abs=1e-12)
-
-
-class TestXForm:
-    def test_su2_from_so3_covers_rotation(self):
-        r = Rotation.random(random_state=7).as_matrix()
-        u = su2_from_so3(r)
-        np.testing.assert_allclose(u @ dag(u), np.eye(2), atol=1e-12)
-        for k in (1, 2, 3):
-            lhs = u @ SIGMA[k] @ dag(u)
-            rhs = sum(r[j - 1, k - 1] * SIGMA[j] for j in (1, 2, 3))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_diagonalizes_correlation(self):
-        for _ in range(10):
-            rho = random_state(rng)
-            rho_x, ua, ub = x_form(rho)
-            zt = correlation_tensor(rho_x)
-            np.testing.assert_allclose(zt, np.diag(np.diag(zt)), atol=1e-9)
-            w = np.kron(ua, ub)
-            np.testing.assert_allclose(w @ rho @ dag(w), rho_x, atol=1e-12)
-
-    def test_spectrum_preserved(self):
-        rho = random_state(rng)
-        rho_x, _, _ = x_form(rho)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho_x), atol=1e-12
-        )
-
-
-@settings(deadline=None, max_examples=300)
-@given(q=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)), half_turn=st.booleans())
-@example(q=np.array([1.0, 0.0, 0.0, 0.0]), half_turn=True)
-@example(q=np.array([0.0, 1.0, 0.0, 0.0]), half_turn=True)
-@example(q=np.array([0.0, 0.0, 1.0, 0.0]), half_turn=True)
-@example(q=np.array([1.0, 1.0, 1.0, 0.0]), half_turn=True)
-@example(q=np.array([0.0, 0.0, 0.0, 1.0]), half_turn=False)
-def test_su2_lift_matches_rotation_oracle(q, half_turn):
-    q = q.copy()
-    if half_turn:
-        q[3] = 0.0  # scalar-last quaternion: a rotation by pi
-    assume(np.linalg.norm(q) > 1e-3)
-    r = Rotation.from_quat(q).as_matrix()
-    u = su2_from_so3(r)
-    for k in (1, 2, 3):
-        rhs = sum(r[j - 1, k - 1] * SIGMA[j] for j in (1, 2, 3))
-        np.testing.assert_allclose(u @ SIGMA[k] @ dag(u), rhs, rtol=0, atol=1e-13)
-    assert abs(np.linalg.det(u) - 1.0) <= 1e-13
-    qx, qy, qz, qw = Rotation.from_matrix(r).as_quat()
-    ref = qw * SIGMA[0] - 1j * (qx * SIGMA[1] + qy * SIGMA[2] + qz * SIGMA[3])
-    assert min(np.abs(u - ref).max(), np.abs(u + ref).max()) <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "r", [-np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-8]), np.eye(2), np.full((3, 3), np.nan)],
-    ids=["improper", "not-orthogonal", "wrong-shape", "nan"],
-)
-def test_su2_lift_rejects_non_rotation(r):
-    with pytest.raises(ValueError, match="rotation"):
-        su2_from_so3(r)
 
 
 state_factors = arrays(
@@ -149,69 +91,120 @@ state_factors = arrays(
 )
 
 
-@settings(deadline=None, max_examples=60)
-@given(a=state_factors)
-def test_stack_matches_per_matrix_calls(a):
+def _states(a):
+    """Density matrices z z^dag / Tr from the factors drawn by state_factors."""
     z = a[:, 0] + 1j * a[:, 1]
     rho = z @ np.conj(np.swapaxes(z, 1, 2))
     tr = np.trace(rho, axis1=1, axis2=2).real
     assume(np.all(tr > 1e-3))
-    rho = rho / tr[:, None, None]
-    q = a[:, 0, 0]
-    assume(np.all(np.linalg.norm(q, axis=1) > 1e-3))
-    rot = Rotation.from_quat(q).as_matrix()
+    return rho / tr[:, None, None]
 
+
+@settings(deadline=None, max_examples=60)
+@given(a=state_factors)
+def test_stack_matches_per_matrix_calls(a):
+    rho = _states(a)
     coh = to_coherence(rho)
-    zt = correlation_tensor(rho)
-    rho_x, ua, ub = x_form(rho)
-    lift = su2_from_so3(rot)
-    i1, i2 = bloch_invariants(to_coherence(rho_x))
+    i1, i2 = invariants_series(rho)
     for i, r in enumerate(rho):
         one = to_coherence(r)
         for name in ("x", "y", "z"):
             np.testing.assert_allclose(getattr(coh, name)[i], getattr(one, name), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(zt[i], correlation_tensor(r), rtol=0, atol=1e-13)
-        for stacked, single in zip((rho_x, ua, ub), x_form(r)):
-            np.testing.assert_allclose(stacked[i], single, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(lift[i], su2_from_so3(rot[i]), rtol=0, atol=1e-13)
-        one = bloch_invariants(to_coherence(rho_x[i]))
+        one = invariants_series(r)
         assert abs(i1[i] - one[0]) <= 1e-13 and abs(i2[i] - one[1]) <= 1e-13
 
     # one matrix in: the types callers had before stacks
     v = to_coherence(rho[0])
     assert v.x.shape == v.y.shape == (3,) and v.z.shape == (3, 3)
-    assert correlation_tensor(rho[0]).shape == (3, 3)
-    assert [m.shape for m in x_form(rho[0])] == [(4, 4), (2, 2), (2, 2)]
-    assert su2_from_so3(rot[0]).shape == (2, 2)
-    assert all(type(i) is float for i in bloch_invariants(to_coherence(rho_x[0])))
+    assert all(type(i) is float for i in invariants_series(rho[0]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(a=state_factors, b=arrays(np.float64, (2, 2, 2, 2), elements=st.floats(-1.0, 1.0)))
+def test_invariants_are_unchanged_by_local_unitaries(a, b):
+    rho = _states(a)
+    # where ztilde has a repeated singular value the SVD frame, and so
+    # (I1, I2), is not unique: a product pure state has ztilde = 0
+    s = np.linalg.svd(_ztilde(rho), compute_uv=False)
+    assume(np.all(-np.diff(s, axis=-1) > 1e-2))
+    wa, wb = (np.linalg.qr(m[0] + 1j * m[1])[0] for m in b)
+    w = np.kron(wa, wb)
+    for before, after in zip(invariants_series(rho), invariants_series(w @ rho @ dag(w))):
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-13)
+
+
+def _bad_stack(defect):
+    """2000 example1 samples, 1500 and 1700 given ``defect``: a stack that
+    spans two of qcore's 1024-sample slices, its first bad sample in the
+    second."""
+    states = scenario_example1(2.0).joint(0.0, 0.001, 2000).samples.copy()
+    states[[1500, 1700]] += defect
+    return states
+
+
+def partial_trace_b(rho):
+    return partial_trace(rho, "B")
+
+
+_NOT_HERMITIAN = np.zeros((4, 4))
+_NOT_HERMITIAN[0, 1] = 1e-3
+
+
+@pytest.mark.parametrize(
+    "caller, defect, message",
+    [
+        (spectrum, _NOT_HERMITIAN, "expects a Hermitian matrix"),
+        (pauli_decompose, _NOT_HERMITIAN, "expects a Hermitian matrix"),
+        (to_coherence, _NOT_HERMITIAN, "expects a Hermitian matrix"),
+        (invariants_series, _NOT_HERMITIAN, "expects a Hermitian matrix"),
+        (validate_state, np.nan, "has non-finite entries"),
+        (partial_trace_b, np.nan, "has non-finite entries"),
+        (purity, 1e-3j * np.eye(4), "large imaginary part 0.002"),
+    ],
+    ids=[
+        "spectrum", "pauli_decompose", "to_coherence", "invariants_series",
+        "validate_state", "partial_trace", "purity",
+    ],
+)
+def test_checks_name_the_first_bad_sample(caller, defect, message):
+    states = _bad_stack(defect)
+    with pytest.raises(ValueError, match=f"{message} at sample 1500$"):
+        caller(states)
+    with pytest.raises(ValueError, match=f"{message}$"):
+        caller(states[1500])
 
 
 def test_stack_checks_name_the_first_bad_sample():
-    rot = np.array([np.eye(3)] * 4)
-    rot[2] = -np.eye(3)
-    with pytest.raises(ValueError, match="rotation matrix at sample 2"):
-        su2_from_so3(rot)
-    states = scenario_example1(2.0).joint(0.0, 0.3, 3).samples
-    diagonal = x_form(states)[0]
-    with pytest.raises(ValueError, match="at sample 1; apply x_form"):
-        bloch_invariants(to_coherence(np.stack([diagonal[0], states[1], states[2]])))
-    with pytest.raises(RuntimeError, match="at sample 0"):
-        x_form(states, tol=-1.0)
+    # anti-Hermitian by 2e-9: within the Hermitian check's 1e-8, but its
+    # Pauli coefficients have an imaginary part of 4e-9
+    states = _bad_stack(1e-9j * pauli_basis()[7])
+    for caller in (to_coherence, invariants_series):
+        with pytest.raises(ValueError, match="not real at sample 1500$"):
+            caller(states)
+        with pytest.raises(ValueError, match="not real$"):
+            caller(states[1500])
 
 
 class TestInvariants:
-    def test_requires_diagonal_correlation(self):
-        rho = scenario_example1(2.0).joint_at(0.4)
-        with pytest.raises(ValueError, match="x_form"):
-            bloch_invariants(to_coherence(rho))
+    def test_closed_form_on_diagonal_correlation(self):
+        # with ztilde = diag(d) the invariants read off x, y and
+        # z_ii = d_i + x_i y_i directly, whatever order and signs the SVD picks
+        x = np.array([[0.1, -0.2, 0.3], [0.0, 0.25, 0.0]])
+        y = np.array([[0.2, 0.1, -0.1], [-0.3, 0.0, 0.1]])
+        d = np.array([[0.3, -0.2, 0.1], [-0.1, 0.05, -0.2]])
+        zd = d + x * y
+        rho = np.array([state_from_coherence(*v, np.diag(d_) + np.outer(*v)) for *v, d_ in zip(x, y, d)])
+        assert np.all(np.linalg.eigvalsh(rho)[:, 0] > 0)  # sanity: genuine states
+        i1, i2 = invariants_series(rho)
+        np.testing.assert_allclose(i1, (x * x + y * y + zd * zd).sum(-1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(i2, (x * y * zd).sum(-1) - zd.prod(-1), rtol=0, atol=1e-14)
 
     def test_purity_relation(self):
         # I1 = 4 Tr rho^2 - 1 whenever the full z tensor is diagonal
         # (local Bloch vectors along axis 3, diagonal correlations)
-        v = CoherenceVector([0, 0, 0.3], [0, 0, -0.2], np.diag([0.1, -0.15, 0.2]))
-        rho = state_from_coherence(v.x, v.y, v.z)
+        rho = state_from_coherence([0, 0, 0.3], [0, 0, -0.2], np.diag([0.1, -0.15, 0.2]))
         assert np.linalg.eigvalsh(rho)[0] > 0  # sanity: a genuine state
-        i1, _ = bloch_invariants(v)
+        i1, _ = invariants_series(rho)
         assert i1 == pytest.approx(4 * np.trace(rho @ rho).real - 1, abs=1e-12)
 
     def test_constant_along_unitary_trajectory(self):

@@ -850,6 +850,8 @@ def test_bad_scenario_arguments_exit_4(tmp_path, capsys, argv, named):
     assert run("scenario", *argv, "--out", out) == EXIT_PARSE
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    # the scenario's own usage line, which lists the options it takes
+    assert re.match(rf"usage: qmp scenario {argv[0]}\s+\[-h\]", err)
     assert not out.exists()
 
 
@@ -866,19 +868,29 @@ def test_bad_values_get_one_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, named, usage",
     [
-        (["simulate", "example1"], "simulate"),
-        (["scenario", "example1", "--t-max", 3, "--steps", 10], "--out"),
-        (["reconstruct", "master", "joint.json"], "--out"),
-        (["check", "a.json", "b.json", "c.json"], "unrecognized arguments: c.json"),
+        (["simulate", "example1"], "simulate", "qmp"),
+        (["scenario", "example1", "--t-max", 3, "--steps", 10], "--out", "qmp scenario example1"),
+        (["reconstruct", "master", "joint.json"], "--out", "qmp reconstruct master"),
+        (["check", "a.json", "b.json", "c.json"], "unrecognized arguments: c.json", "qmp check"),
+        (
+            ["reconstruct", "master", "joint.json", "--out", "o", "--bogus"],
+            "unrecognized arguments: --bogus",
+            "qmp reconstruct master",
+        ),
     ],
-    ids=["unknown-command", "scenario-no-out", "reconstruct-no-out", "check-three-files"],
+    ids=[
+        "unknown-command", "scenario-no-out", "reconstruct-no-out", "check-three-files",
+        "reconstruct-unknown-option",
+    ],
 )
-def test_parser_errors_exit_4(capsys, argv, named):
-    # argparse's own exit 2 is the code of an invalid state, so it maps to 4
+def test_parser_errors_exit_4(capsys, argv, named, usage):
+    # argparse's own exit 2 is the code of an invalid state, so it maps to 4;
+    # the usage line is that of the innermost command that was named
     assert run(*argv) == EXIT_PARSE
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and re.match(rf"usage: {usage}\s+\[-h\]", err)
 
 
 def test_help_exits_0(capsys):
