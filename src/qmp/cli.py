@@ -26,10 +26,11 @@ non-finite sample to be written, a file that is not a dim-4 joint
 trajectory given to single-file check, reconstruct or measures, or a
 marginal pair given to check whose files are not both 2x2 trajectories
 or whose grids differ; nothing is written then), 3 no CP-valid
-candidate, or a round trip whose propagator W of H(t) reaches a
-non-finite value, named with its RK4 step (W is shared, so that ends
-the round trip of every candidate), or a non-finite deviation from the
-samples, named with its candidates (report.json is not written), 4
+candidate, or a round trip of either reconstruct command whose
+propagator W of H(t) reaches a non-finite value, named with its RK4
+step (W is shared, so that ends the round trip of every candidate), or
+a non-finite deviation from the samples, named with its candidates
+(report.json is not written), 4
 parse error: unreadable JSON (undecodable bytes, invalid or too deeply
 nested JSON) or any schema violation (a missing or mistyped field, a
 true or false among the samples, a sample of the wrong shape, a
@@ -49,12 +50,15 @@ file (the drift of Tr rho^k for k = 2..4) and the "isospectral" verdict
 of a marginal pair. reconstruct takes no tolerance: it calls a
 trajectory unitary up to a drift of 1e-8.
 
-reconstruct master reports a list of candidate generators. A unitary
-trajectory has one, "unitary", the K = 0 candidate; otherwise they come
-from the diagonal unital fit. Every entry has the same fields (label,
-d_diag, k_diag, k_spectrum, cp_valid, min_k_eigenvalue) and each
-CP-valid one adds its roundtrip_deviation and roundtrip_marginals; the
-report then ends with the run's propagator_defect, max ||W - U||.
+reconstruct unitary and reconstruct master run one pipeline, and both
+reports list candidate generators. A unitary trajectory has one,
+"unitary", the K = 0 candidate; otherwise they come from the diagonal
+unital fit. Every entry has the same fields (label, d_diag, k_diag,
+k_spectrum, cp_valid, min_k_eigenvalue) and each CP-valid one adds its
+roundtrip_deviation and roundtrip_marginals; the report then ends with
+the run's propagator_defect, max ||W - U||. reconstruct unitary refuses
+a file that is not unitary (exit 2), also writes pauli_coefficients.csv,
+and its report starts with antihermitian_defect, drift and files.
 """
 
 from __future__ import annotations
@@ -426,42 +430,23 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct_unitary(args) -> int:
+def cmd_reconstruct(args) -> int:
+    unitary = args.mode == "unitary"
     traj = _joint_trajectory(args.file, "reconstruct")
-    rep = kinematics.unitarity_test(traj, _UNITARY_TOL)
-    if not rep.passed:
-        raise CliError(
-            f"trajectory is not unitary (trace-power drift {rep.drift})", EXIT_INVALID
-        )
-    seq = ur.reconstruct_evolution(traj)
-    ham = ur.hamiltonian_from_evolution(seq)
-    _output_dir(args.out)
-    write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
-    coeffs = bloch.pauli_decompose(ham.trajectory.samples).h.reshape(ham.trajectory.n, 16)
-    _write_csv(
-        os.path.join(args.out, "pauli_coefficients.csv"),
-        ["t"] + [f"h{a}{b}" for a in range(4) for b in range(4)],
-        np.column_stack([ham.trajectory.times, coeffs]),
-    )
-    doc = {
-        "antihermitian_defect": ham.antihermitian_defect,
-        "drift": {str(k): v for k, v in rep.drift.items()},
-        "files": ["hamiltonian.json", "pauli_coefficients.csv"],
-    }
-    write_report(os.path.join(args.out, "report.json"), doc)
-    return EXIT_OK
-
-
-def cmd_reconstruct_master(args) -> int:
-    traj = _joint_trajectory(args.file, "reconstruct")
-    frame = ur.eigenframe_decompose(traj)
     unit = kinematics.unitarity_test(traj, _UNITARY_TOL)
-    doc = {
-        "unitary": unit.passed,
-        "trace_power_drift": {str(k): v for k, v in unit.drift.items()},
-        "antihermitian_defect": None,  # set with H(t), after the fit
-        "candidates": [],
-    }
+    drift = {str(k): v for k, v in unit.drift.items()}
+    if unitary and not unit.passed:
+        raise CliError(f"trajectory is not unitary (trace-power drift {unit.drift})", EXIT_INVALID)
+    frame = ur.eigenframe_decompose(traj)
+    # antihermitian_defect keeps its place among the keys; it is set with
+    # H(t), after the fit
+    if unitary:
+        ur.constant_spectrum(frame)
+        doc = {"antihermitian_defect": None, "drift": drift,
+               "files": ["hamiltonian.json", "pauli_coefficients.csv"]}
+    else:
+        doc = {"unitary": unit.passed, "trace_power_drift": drift, "antihermitian_defect": None}
+    doc["candidates"] = []
     if unit.passed:
         # the unitary answer is the K = 0 candidate
         candidates = [("unitary", np.zeros(15), dr.KossakowskiMatrix(np.zeros((15, 15))))]
@@ -492,14 +477,21 @@ def cmd_reconstruct_master(args) -> int:
     # H(t) only now, so that the fit's scratch and the H stack are never
     # held together
     ham = ur.hamiltonian_from_evolution(frame.useq)
+    h = ham.trajectory
     doc["antihermitian_defect"] = ham.antihermitian_defect
     _output_dir(args.out)
-    write_trajectory(os.path.join(args.out, "hamiltonian.json"), ham.trajectory)
+    write_trajectory(os.path.join(args.out, "hamiltonian.json"), h)
+    if unitary:
+        _write_csv(
+            os.path.join(args.out, "pauli_coefficients.csv"),
+            ["t"] + [f"h{a}{b}" for a in range(4) for b in range(4)],
+            np.column_stack([h.times, bloch.pauli_decompose(h.samples).h.reshape(h.n, 16)]),
+        )
     if valid:
         # every CP-valid candidate shares one RK4 propagator W of H(t), so a W
         # that diverges stops the round trip of all of them
         try:
-            rt = dr.roundtrip_verify(traj, ham.trajectory.samples, [k for _, k in valid], frame.useq)
+            rt = dr.roundtrip_verify(traj, h.samples, [k for _, k in valid], frame.useq)
         except RuntimeError as exc:
             raise CliError(f"round trip: {exc}", EXIT_NO_CP)
         finite = np.isfinite([rt.max_deviation, rt.max_marginal_a, rt.max_marginal_b]).all(axis=0)
@@ -602,14 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser("reconstruct", help="reconstruct a generator")
     rsub = rc.add_subparsers(dest="mode", required=True)
-    ru = rsub.add_parser("unitary")
-    ru.add_argument("file")
-    ru.add_argument("--out", required=True)
-    ru.set_defaults(func=cmd_reconstruct_unitary)
-    rm = rsub.add_parser("master")
-    rm.add_argument("file")
-    rm.add_argument("--out", required=True)
-    rm.set_defaults(func=cmd_reconstruct_master)
+    for mode in ("unitary", "master"):
+        rm = rsub.add_parser(mode)
+        rm.add_argument("file")
+        rm.add_argument("--out", required=True)
+        rm.set_defaults(func=cmd_reconstruct)
 
     ms = sub.add_parser("measures", help="purity/negativity series as CSV")
     ms.add_argument("file")

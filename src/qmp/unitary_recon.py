@@ -27,6 +27,7 @@ __all__ = [
     "HamiltonianResult",
     "reconstruct_evolution",
     "eigenframe_decompose",
+    "constant_spectrum",
     "hamiltonian_from_evolution",
 ]
 
@@ -199,20 +200,27 @@ def eigenframe_decompose(traj: Trajectory) -> EigenframeResult:
     return EigenframeResult(EvolutionSequence(traj.t0, traj.dt, frames), branches, v0)
 
 
-def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
-    """Unitaries U(t) with U(t0) = I and U(t) rho(t0) U(t)^dag = rho(t).
-
-    The trajectory must have a constant spectrum: a branch drift above
-    1e-8 aborts, naming the first sample that drifts. The output is
-    unique up to right-multiplication by unitaries commuting with
-    rho(t0); the continuation gauge picks the smooth representative.
-    """
-    frame = eigenframe_decompose(traj)
+def constant_spectrum(frame: EigenframeResult) -> EvolutionSequence:
+    """The U(t) of an eigenframe split whose branches stay within
+    SPECTRUM_DRIFT_TOL of their start; a larger drift aborts, naming the
+    first sample that drifts."""
     drift = np.max(np.abs(frame.branches - frame.branches[0]), axis=1)
     i = int(np.argmax(drift > SPECTRUM_DRIFT_TOL))
     if drift[i] > SPECTRUM_DRIFT_TOL:
         raise ValueError(f"spectrum drift {drift[i]:g} at sample {i}: not a unitary trajectory")
     return frame.useq
+
+
+def reconstruct_evolution(traj: Trajectory) -> EvolutionSequence:
+    """Unitaries U(t) with U(t0) = I and U(t) rho(t0) U(t)^dag = rho(t).
+
+    eigenframe_decompose, then constant_spectrum, as in ``qmp reconstruct
+    unitary``: a branch drift above SPECTRUM_DRIFT_TOL (1e-8) aborts,
+    naming the first sample that drifts. The output is
+    unique up to right-multiplication by unitaries commuting with
+    rho(t0); the continuation gauge picks the smooth representative.
+    """
+    return constant_spectrum(eigenframe_decompose(traj))
 
 
 @dataclass(frozen=True)
