@@ -177,16 +177,17 @@ def fit_diagonal_unital(branches: np.ndarray, dt: float) -> DiagonalFit:
     least-squares constant rate. The offset l is fixed to zero (unital
     ansatz).
     """
-    r = np.asarray(branches, dtype=float) @ _DIAGONAL_COHERENCE
-    rdot = diff_series(r, dt)
+    # einsum and ufunc reductions, not BLAS: see the qcore module docstring
+    r = np.einsum("ni,ik->nk", np.asarray(branches, dtype=float), _DIAGONAL_COHERENCE)
     amp = np.maximum(r.max(axis=0), -r.min(axis=0))  # max |r_k|, with no |r| temporary
-    active = tuple(int(i) for i in np.flatnonzero(amp > _ACTIVE_TOL))
-    free = tuple(int(i) for i in np.flatnonzero(amp <= _ACTIVE_TOL))
+    on = amp > _ACTIVE_TOL
+    r = r[:, on]  # the active columns, at most the 3 of the diagonal generators
+    rdot = diff_series(r, dt)
     d = np.zeros(15)
-    res = 0.0
-    for k in active:
-        d[k] = float(rdot[:, k] @ r[:, k] / (r[:, k] @ r[:, k]))
-        res = max(res, float(np.max(np.abs(rdot[:, k] - d[k] * r[:, k]))))
+    d[on] = (rdot * r).sum(axis=0) / (r * r).sum(axis=0)
+    res = float(np.abs(rdot - d[on] * r).max(initial=0.0))
+    active = tuple(int(i) for i in np.flatnonzero(on))
+    free = tuple(int(i) for i in np.flatnonzero(~on))
     return DiagonalFit(d, active, free, res)
 
 

@@ -7,6 +7,11 @@ All functions are pure: inputs are never mutated and results are
 freshly allocated, so values can be shared freely across threads. A
 pass over a whole stack runs on slices of _CHUNK samples of its first
 axis, so its temporaries stay O(_CHUNK) whatever the stack's length.
+A product or sum over the whole series runs in numpy's own loops
+(ufuncs, their reductions, einsum without optimize), and BLAS (@, dot)
+sees only per-sample or at most 16-wide matrices: OpenBLAS splits a
+series-long call between its threads, so its result then depends on
+the thread count and its woken workers spin on after the call.
 """
 
 from __future__ import annotations

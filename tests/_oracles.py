@@ -10,7 +10,8 @@ multiplied up from per-step RK4 matrices, a phase fix per eigenvector
 and an SVD per degenerate block instead of one masked polar factor per
 step, scipy's expm of the per-term superoperator instead of the
 package's scaling and squaring, np.gradient instead of the package's
-difference stencil, nested lists through json instead of streamed
+difference stencil, math.fsum over Python floats instead of ufunc
+reductions, nested lists through json instead of streamed
 %-templates and a flat read of the samples array) so that agreement
 between the two is meaningful. Nothing here calls qmp.dissipative_recon,
 qmp.unitary_recon, qmp.qcore.rk4_integrate or its step
@@ -19,6 +20,7 @@ checks of trajectory_from_dict from qmp.cli, which both readers share.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -137,6 +139,31 @@ def diagonal_rate_misfit(branches, dt, d_diag):
     the diagonal states diag(branches(t)), with np.gradient's stencil."""
     r = np.einsum("kii,ni->nk", traceless_basis(), branches).real
     return np.max(np.abs(np.gradient(r, dt, axis=0, edge_order=2) - d_diag * r))
+
+
+def diagonal_rate_fit(branches, dt):
+    """(rates, worst misfit) of the least-squares rate d_k = sum r_dot_k r_k /
+    sum r_k^2 of each coherence component of diag(branches(t)) that exceeds
+    1e-10 somewhere, one component at a time in Python floats: r_k(t) and
+    both sums by math.fsum, r_dot_k by np.gradient's second-order stencil.
+    The other components get rate 0 and no misfit."""
+    rows = np.asarray(branches, dtype=float).tolist()
+    rates, worst = [], 0.0
+    for g in traceless_basis():
+        w = np.diagonal(g).real.tolist()
+        r = [math.fsum(a * b for a, b in zip(w, row)) for row in rows]
+        if max(map(abs, r)) <= 1e-10:
+            rates.append(0.0)
+            continue
+        rdot = (
+            [(-1.5 * r[0] + 2.0 * r[1] - 0.5 * r[2]) / dt]
+            + [(r[i + 1] - r[i - 1]) / (2.0 * dt) for i in range(1, len(r) - 1)]
+            + [(0.5 * r[-3] - 2.0 * r[-2] + 1.5 * r[-1]) / dt]
+        )
+        d = math.fsum(a * b for a, b in zip(rdot, r)) / math.fsum(a * a for a in r)
+        rates.append(d)
+        worst = max(worst, max(abs(a - d * b) for a, b in zip(rdot, r)))
+    return np.array(rates), worst
 
 
 def rk4_per_state(generator, rho0, t0, dt, n_steps):

@@ -973,14 +973,97 @@ def test_qmp_tol_does_not_reach_reconstruct(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports this qmp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmp.__file__)))
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so that no other test's imports count
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qmp.__file__)))
     code = "import sys, qmp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_master_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 12001 samples are enough for OpenBLAS to split a product over the whole
+    # series between its threads, whose partial sums round differently
+    run("scenario", "example3", "--t-max", 2, "--steps", 12000, "--out", tmp_path / "ex3")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "qmp.cli", "reconstruct", "master",
+             str(tmp_path / "ex3" / "joint.json"), "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(out)
+    for name in ("report.json", "hamiltonian.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# Runs each command of the JSON list argv[1] in-process and prints, as JSON,
+# the CPU seconds that every thread but the main one gained during it. numpy's
+# import wakes OpenBLAS's workers, which spin for a while; the commands start
+# once that spin has settled.
+_WORKER_CPU = """
+import contextlib, io, json, os, sys, time
+import qmp.cli
+
+def worker_cpu():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            try:
+                with open(f"/proc/self/task/{tid}/stat") as f:
+                    fields = f.read().rsplit(")", 1)[1].split()
+            except FileNotFoundError:  # the thread has ended
+                continue
+            total += int(fields[11]) + int(fields[12])  # utime + stime
+    return total / os.sysconf("SC_CLK_TCK")
+
+last = worker_cpu()
+for _ in range(100):
+    time.sleep(0.1)
+    now = worker_cpu()
+    if now == last:
+        break
+    last = now
+gained = {}
+for argv in json.loads(sys.argv[1]):
+    before = worker_cpu()
+    with contextlib.redirect_stdout(io.StringIO()):
+        qmp.cli.main(argv)
+    gained[" ".join(argv[:2])] = worker_cpu() - before
+print(json.dumps(gained))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_commands_leave_the_blas_threads_idle(tmp_path):
+    # a product over the whole series sent to a threaded BLAS wakes its
+    # workers, which spin on after the call returns (0.09 s on master's fit);
+    # two BLAS threads, so that a worker exists on any multi-core machine
+    ex1, ex3 = tmp_path / "ex1", tmp_path / "ex3"
+    run("scenario", "example1", "--t-max", 3.1, "--steps", 12000, "--out", ex1)
+    run("scenario", "example3", "--t-max", 2, "--steps", 12000, "--out", ex3)
+    commands = [
+        ["reconstruct", "master", ex3 / "joint.json", "--out", tmp_path / "master"],
+        ["reconstruct", "unitary", ex1 / "joint.json", "--out", tmp_path / "unitary"],
+        ["check", ex3 / "joint.json", "--out", tmp_path / "check.json"],
+        ["check", ex1 / "marginal_a.json", ex1 / "marginal_b.json", "--out", tmp_path / "window.json"],
+        ["measures", ex3 / "joint.json", "--out", tmp_path / "measures.csv"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER_CPU, json.dumps([[str(a) for a in c] for c in commands])],
+        env=_child_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    gained = json.loads(done.stdout)
+    assert sum(gained.values()) < 0.02, gained
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

@@ -36,6 +36,7 @@ from qmp.dissipative_recon import (
 from _oracles import (
     affine_from_superoperator,
     coherence_vector,
+    diagonal_rate_fit,
     diagonal_rate_misfit,
     dissipator_per_term,
     dissipator_superoperator,
@@ -134,10 +135,23 @@ class TestFit:
         )
     )
     def test_branch_coherence_matches_to_coherence(self, branches):
-        # the fit reads r = branches @ _DIAGONAL_COHERENCE, the coherence
-        # vector of the diagonal states diag(branches)
+        # the fit reads r = einsum("ni,ik->nk", branches, _DIAGONAL_COHERENCE),
+        # the coherence vector of the diagonal states diag(branches)
         want = np.array([coherence_vector(np.diag(b)) for b in branches])
-        np.testing.assert_allclose(branches @ _DIAGONAL_COHERENCE, want, rtol=0, atol=1e-15)
+        r = np.einsum("ni,ik->nk", branches, _DIAGONAL_COHERENCE)
+        np.testing.assert_allclose(r, want, rtol=0, atol=1e-15)
+
+    def test_fit_matches_per_component_least_squares(self):
+        # 12001 samples, a series long enough that a threaded BLAS would split
+        # its sums; the oracle's sums are exact up to the final rounding. The
+        # constant component 3 has a zero rate, known only to the rounding of
+        # its r_dot, so the tolerance is relative to the largest rate
+        traj = scenario_example3(2.0, GAMMA).joint(0.0, 2.0 / 12000, 12001)
+        branches = eigenframe_decompose(traj).branches
+        fit = fit_diagonal_unital(branches, traj.dt)
+        rates, residual = diagonal_rate_fit(branches, traj.dt)
+        np.testing.assert_allclose(fit.d_diag, rates, rtol=0, atol=1e-13 * np.abs(rates).max())
+        assert fit.residual == pytest.approx(residual, rel=0, abs=1e-12)
 
     def test_static_trajectory_fits_zero(self):
         fit = fit_diagonal_unital(np.tile([0.4, 0.3, 0.2, 0.1], (10, 1)), 0.1)
